@@ -14,6 +14,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -22,8 +23,8 @@ from . import coherent
 from . import spectrum as spec
 from .errors import ConfigError, LLGSError
 from .model import Grid1D, MagnetizationField, ModelParams, classify_anisotropy, to_spherical
-from .simulate import PerturbationSpec, SimConfig, build_wavetrain_initial, simulate
-from .wavetrains import admissible_wavenumbers, e3_eigenvalues, e3_stability, wavetrain_at
+from .simulate import PerturbationSpec, SimConfig, _perturb, build_wavetrain_initial, simulate
+from .wavetrains import e3_eigenvalues, e3_stability, wavetrain_at
 
 
 def _fmt(v) -> str:
@@ -94,11 +95,6 @@ def load_config(source) -> configparser.ConfigParser:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {source}: {exc}") from exc
     return cp
-
-
-def dump_config(cp: configparser.ConfigParser, path):
-    with open(path, "w") as fh:
-        cp.write(fh)
 
 
 def params_from_config(cp, args) -> ModelParams:
@@ -224,13 +220,13 @@ def _profile_rows(profile):
     ]
 
 
-def _profile_out(base, index):
-    if base is None:
+def _out_path(out, tag="", ext=None):
+    """A file next to --out: its stem plus `tag`, with `ext` or else its own
+    extension (.csv when it has none).  None (stdout) stays None."""
+    if out is None:
         return None
-    stem, dot, ext = base.rpartition(".")
-    if not dot:
-        stem, ext = base, "csv"
-    return f"{stem}_{index}.{ext}"
+    stem, own_ext = os.path.splitext(out)
+    return f"{stem}{tag}{ext or own_ext or '.csv'}"
 
 
 def cmd_coherent(args, cp):
@@ -266,11 +262,11 @@ def cmd_coherent(args, cp):
             "profiles": [],
         }
         for i, prof in enumerate(result.profiles, start=1):
-            path = _profile_out(args.out, i)
+            path = _out_path(args.out, f"_{i}")
             write_rows(path, PROFILE_HEADER, _profile_rows(prof), args.format)
             record["profiles"].append(path)
         if args.out is not None:
-            write_record(args.out.rpartition(".")[0] + ".json" if "." in args.out else args.out + ".json", record)
+            write_record(_out_path(args.out, ext=".json"), record)
         return 0
 
     if mode == "fast":
@@ -284,7 +280,7 @@ def cmd_coherent(args, cp):
                   "fronts": []}
         for i, front in enumerate(result.fronts, start=1):
             lifted = coherent.lift_to_ode(front.profile)
-            path = _profile_out(args.out, i)
+            path = _out_path(args.out, f"_{i}")
             write_rows(path, PROFILE_HEADER, _profile_rows(lifted), args.format)
             record["fronts"].append({
                 "file": path,
@@ -298,10 +294,7 @@ def cmd_coherent(args, cp):
                 "max_dtheta_dxi": front.max_dtheta,
                 "tube_constant": front.tube_constant,
             })
-        if args.out is not None:
-            write_record(args.out.rpartition(".")[0] + ".json" if "." in args.out else args.out + ".json", record)
-        else:
-            write_record(None, record)
+        write_record(_out_path(args.out, ext=".json"), record)
         return 0
 
     if mode == "small-amplitude":
@@ -351,15 +344,11 @@ def cmd_simulate(args, cp):
             raise ConfigError(f"no wavetrain exists at k = {k} for these parameters")
         initial = build_wavetrain_initial(wt, grid, pert)
     elif initial_kind == "e3":
+        if pert.kind == "sideband":
+            raise ConfigError("a sideband perturbation needs initial = wavetrain, not e3")
         values = np.zeros((n, 3))
         values[:, 2] = sign
-        initial = MagnetizationField(grid, values)
-        if pert.kind == "noise":
-            rng = np.random.default_rng(seed)
-            noise = rng.normal(scale=pert.amplitude, size=(n, 3))
-            noise -= np.sum(noise * values, axis=1, keepdims=True) * values
-            v = values + noise
-            initial = MagnetizationField(grid, v / np.linalg.norm(v, axis=1, keepdims=True))
+        initial = _perturb(MagnetizationField(grid, values), pert)
     else:
         raise ConfigError(f"unknown initial condition {initial_kind!r}")
 
@@ -374,9 +363,6 @@ def cmd_simulate(args, cp):
     ]
     write_rows(args.out, ("t", "norm_drift", "energy", "phi0"), rows, args.format)
     if args.out is not None:
-        stem, dot, ext = args.out.rpartition(".")
-        if not dot:
-            stem, ext = args.out, "csv"
         final = result.final
         sph = to_spherical(final)
         frows = [
@@ -386,7 +372,8 @@ def cmd_simulate(args, cp):
                 np.gradient(sph.phi, grid.dx),
             )
         ]
-        write_rows(f"{stem}_final.{ext}", ("x", "m1", "m2", "m3", "theta", "q"), frows, args.format)
+        write_rows(_out_path(args.out, "_final"), ("x", "m1", "m2", "m3", "theta", "q"), frows,
+                   args.format)
     return 0
 
 

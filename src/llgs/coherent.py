@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import brentq, fsolve
 
-from .errors import PoleSingularityError
+from .errors import NoLocalBifurcation, PoleSingularityError, SpeedTooLow
 from .model import ModelParams
 from .wavetrains import wavetrain_at
 
@@ -156,10 +156,15 @@ def pendulum_force(theta: float, C: float, params: ModelParams, Omega: float) ->
     return -potential(theta, C, params, Omega)[1]
 
 
-def _force_derivative(theta, C, params, Omega, eps=1e-7):
-    fp = pendulum_force(theta + eps, C, params, Omega)
-    fm = pendulum_force(theta - eps, C, params, Omega)
-    return (fp - fm) / (2 * eps)
+def _force_slope(theta, C, params, Omega):
+    """d(force)/dtheta, analytic: positive at a saddle, negative at a center."""
+    st, ct = math.sin(theta), math.cos(theta)
+    dh = params.h - Omega
+    d = ct * (dh - params.mu * ct) + params.mu * st * st
+    if C != 0.0:
+        # derivative of C^2 cos/sin^3: (-sin^4 - 3 cos^2 sin^2)/sin^6 = -(1+2cos^2)/sin^4
+        d -= C * C * (1.0 + 2.0 * ct * ct) / st ** 4
+    return d
 
 
 @dataclass
@@ -186,18 +191,10 @@ class StationaryPortrait:
 
 
 def _classify_equilibrium(theta, C, params, Omega):
-    # analytic force derivative: saddle iff d(force)/dtheta > 0
-    st, ct = math.sin(theta), math.cos(theta)
-    dh = params.h - Omega
-    d = ct * (dh - params.mu * ct) + params.mu * st * st
-    if C != 0.0:
-        d += C * C * (1.0 + 2.0 * ct * ct) / st ** 4 * (-1.0)
-        # derivative of C^2 cos/sin^3: (-sin^4 - 3 cos^2 sin^2)/sin^6 = -(1+2cos^2)/sin^4
+    d = _force_slope(theta, C, params, Omega)
     if abs(d) < 1e-12:
-        kind = "degenerate"
-    else:
-        kind = "saddle" if d > 0 else "center"
-    return kind
+        return "degenerate"
+    return "saddle" if d > 0 else "center"
 
 
 def stationary_equilibria(params: ModelParams, Omega: float, C: float):
@@ -356,7 +353,7 @@ def stationary_homoclinic(
     # smaller q on q = C/sin^2(theta) means sin(theta) largest
     saddle = max(saddles, key=lambda e: math.sin(e.theta))
     ths = saddle.theta
-    lam = math.sqrt(max(_force_derivative(ths, C, params, Omega), 0.0))
+    lam = math.sqrt(max(_force_slope(ths, C, params, Omega), 0.0))
     profiles = []
     for sgn in (1.0, -1.0):
         delta = min(end_tol / (1.0 + lam), 1e-8)
@@ -464,23 +461,6 @@ def superslow_flow(theta: float, params: ModelParams, Omega1: float) -> float:
     )
 
 
-def pole_equilibrium(params: ModelParams, ansatz: CoherentAnsatz, theta0: float):
-    """Equilibrium (p_tilde, q) of the desingularized system on the
-    invariant plane theta = theta0 in {0, pi}."""
-    sigma = math.cos(theta0)
-
-    def G(v):
-        st = [theta0, v[0], v[1]]
-        rhs = dode_rhs(st, params, ansatz)
-        return [rhs[1], rhs[2]]
-
-    sol, info, ok, msg = fsolve(G, [0.0, ansatz.Omega / ansatz.s if ansatz.s else 0.0],
-                                full_output=True)
-    if ok != 1:
-        raise RuntimeError(f"pole equilibrium solve failed at theta0={theta0}: {msg}")
-    return float(sol[0]), float(sol[1])
-
-
 def pole_q_first_order(params: ModelParams, Omega0: float, Omega1: float,
                        s: float, theta0: float) -> float:
     """First-order asymptotic wavenumber at the pole theta0:
@@ -586,7 +566,7 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior, xi_max, target_to
     shot integrates the scalar flow theta' = sin(theta) * p_tilde with the
     fast variables slaved to the manifold at every step.
     """
-    pt0, q0 = pole_equilibrium(params, ansatz, theta0)
+    pt0, q0 = slaved_fast_variables(params, ansatz, theta0)
     into = 1.0 if theta0 == 0.0 else -1.0
     delta = 1e-8
     warm = {"guess": [pt0, q0]}
@@ -663,26 +643,6 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior, xi_max, target_to
     )
 
 
-def minimal_fast_speed(
-    params: ModelParams,
-    Omega0: float,
-    Omega1: float,
-    s_hi: float,
-    s_lo: float = 0.5,
-    tol: float = 0.1,
-) -> float:
-    """Bisection estimate of the speed threshold below which shooting fails."""
-    if not fast_heteroclinic(params, Omega0, Omega1, s_hi).converged:
-        raise RuntimeError(f"shooting fails even at s={s_hi}")
-    while s_hi - s_lo > tol:
-        mid = 0.5 * (s_lo + s_hi)
-        if fast_heteroclinic(params, Omega0, Omega1, mid).converged:
-            s_hi = mid
-        else:
-            s_lo = mid
-    return s_hi
-
-
 # ---------------------------------------------------------------------------
 # Small-amplitude bifurcation
 # ---------------------------------------------------------------------------
@@ -710,14 +670,6 @@ class SmallAmplitudeReport:
     branch: str  # "supercritical" | "subcritical"
     center_coefficient: float  # leading form alpha (q^2 - mu)/((1+alpha^2) s)
     center_coefficient_exact: float  # small root of the characteristic cubic
-
-
-class SpeedTooLow(ValueError):
-    pass
-
-
-class NoLocalBifurcation(ValueError):
-    pass
 
 
 def small_amplitude_bifurcation(params: ModelParams, s: float, theta0: float) -> SmallAmplitudeReport:

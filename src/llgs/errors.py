@@ -46,5 +46,13 @@ class BlowupError(LLGSError):
     """
 
 
+class SpeedTooLow(LLGSError):
+    """Profile speed below the small-amplitude bound s^2 > 4 q^2/(1+alpha^2)."""
+
+
+class NoLocalBifurcation(LLGSError):
+    """No small-amplitude bifurcation from the pole for these parameters."""
+
+
 class ConfigError(LLGSError):
     """Malformed run configuration."""

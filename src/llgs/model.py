@@ -17,7 +17,7 @@ stepping is
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,15 +228,23 @@ def anisotropy_field(values: np.ndarray, params: ModelParams) -> np.ndarray:
     return f
 
 
+def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Landau-Lifshitz dm/dt of a (n, 3) array m with Laplacian lap.
+
+    The one evaluation of the right-hand side: the time steppers call it
+    directly, so a stepper that also needs lap computes it once.
+    """
+    g = lap - anisotropy_field(m, params)
+    mxg = np.cross(m, g)
+    return (-mxg - params.alpha * np.cross(m, mxg)) / (1.0 + params.alpha ** 2)
+
+
 def rhs_landau_lifshitz(
     fld: MagnetizationField, params: ModelParams, method: str = "fd"
 ) -> np.ndarray:
     """dm/dt in Landau-Lifshitz form; tangent to the sphere pointwise."""
     fld.check_unit_norm(1e-9)
-    m = fld.values
-    g = second_derivative(m, fld.grid, method) - anisotropy_field(m, params)
-    mxg = np.cross(m, g)
-    return (-mxg - params.alpha * np.cross(m, mxg)) / (1.0 + params.alpha ** 2)
+    return _ll_rhs(fld.values, second_derivative(fld.values, fld.grid, method), params)
 
 
 def gilbert_residual(
@@ -266,7 +274,8 @@ def gilbert_residual(
 def _integrate(values: np.ndarray, grid: Grid1D) -> float:
     if grid.periodic:
         return float(np.sum(values) * grid.dx)
-    return float(np.trapz(values, dx=grid.dx))
+    # trapezoid rule; np.trapz is gone from numpy 2 and scipy.integrate is slow to import
+    return float((np.sum(values) - 0.5 * (values[0] + values[-1])) * grid.dx)
 
 
 def energy(fld: MagnetizationField, params: ModelParams, method: str = "fd") -> float:

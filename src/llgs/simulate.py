@@ -11,20 +11,12 @@ profiles against the analytical modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowupError, CFLError, CommensurabilityError
-from .model import (
-    E3,
-    Grid1D,
-    MagnetizationField,
-    ModelParams,
-    anisotropy_field,
-    energy,
-    second_derivative,
-)
+from .model import Grid1D, MagnetizationField, ModelParams, _ll_rhs, energy, second_derivative
 from .wavetrains import Wavetrain, wavetrain_field
 
 CFL_SAFETY = 0.25
@@ -46,7 +38,9 @@ class SimConfig:
     store_every: int = 100  # steps between stored snapshots
 
     def validate(self, grid: Grid1D, params: ModelParams):
-        if self.integrator not in ("rk4", "semi-implicit"):
+        """Check the run against the grid and return its step function m -> m."""
+        make_step = _STEPPERS.get(self.integrator)
+        if make_step is None:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.integrator == "rk4":
             limit = cfl_limit(grid, params)
@@ -54,6 +48,7 @@ class SimConfig:
                 raise CFLError(
                     f"dt = {self.dt:.3e} exceeds the explicit bound {limit:.3e}"
                 )
+        return make_step(grid, params, self.dt)
 
 
 @dataclass
@@ -83,45 +78,49 @@ class Trajectory:
         return MagnetizationField(self.grid, self.values[i], float(self.times[i]))
 
 
-def _raw_rhs(m: np.ndarray, grid: Grid1D, params: ModelParams) -> np.ndarray:
-    g = second_derivative(m, grid) - anisotropy_field(m, params)
-    mxg = np.cross(m, g)
-    return (-mxg - params.alpha * np.cross(m, mxg)) / (1.0 + params.alpha ** 2)
-
-
 def _project(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-class _SemiImplicit:
-    """One step of m_{n+1} = (I - dt*c*Lap)^{-1} (m_n + dt*(rhs - c*Lap m_n)).
+def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
+    """Step m_{n+1} = (I - dt*c*Lap)^{-1} (m_n + dt*(rhs - c*Lap m_n)).
 
     c = alpha/(1+alpha^2) is the ellipticity constant; the inverse uses the
     exact Fourier symbol of the discrete 3-point Laplacian, so the split is
     consistent with the explicit stencil.
     """
+    j = np.arange(grid.n)
+    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / grid.n)) / grid.dx ** 2
+    c = params.alpha / (1.0 + params.alpha ** 2)
+    denominator = (1.0 - dt * c * symbol)[:, None]
 
-    def __init__(self, grid: Grid1D, params: ModelParams, dt: float):
-        j = np.arange(grid.n)
-        symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / grid.n)) / grid.dx ** 2
-        c = params.alpha / (1.0 + params.alpha ** 2)
-        self.grid, self.params, self.dt, self.c = grid, params, dt, c
-        self.denominator = (1.0 - dt * c * symbol)[:, None]
+    def step(m: np.ndarray) -> np.ndarray:
+        lap = second_derivative(m, grid)
+        explicit = _ll_rhs(m, lap, params) - c * lap
+        rhs_hat = np.fft.fft(m + dt * explicit, axis=0)
+        return np.real(np.fft.ifft(rhs_hat / denominator, axis=0))
 
-    def step(self, m: np.ndarray) -> np.ndarray:
-        explicit = _raw_rhs(m, self.grid, self.params) - self.c * second_derivative(
-            m, self.grid
-        )
-        rhs_hat = np.fft.fft(m + self.dt * explicit, axis=0)
-        return np.real(np.fft.ifft(rhs_hat / self.denominator, axis=0))
+    return step
 
 
-def _rk4_step(m: np.ndarray, grid: Grid1D, params: ModelParams, dt: float) -> np.ndarray:
-    k1 = _raw_rhs(m, grid, params)
-    k2 = _raw_rhs(m + 0.5 * dt * k1, grid, params)
-    k3 = _raw_rhs(m + 0.5 * dt * k2, grid, params)
-    k4 = _raw_rhs(m + dt * k3, grid, params)
-    return m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4(grid: Grid1D, params: ModelParams, dt: float):
+    """Classical RK4 step of the full right-hand side."""
+
+    def rhs(m: np.ndarray) -> np.ndarray:
+        return _ll_rhs(m, second_derivative(m, grid), params)
+
+    def step(m: np.ndarray) -> np.ndarray:
+        k1 = rhs(m)
+        k2 = rhs(m + 0.5 * dt * k1)
+        k3 = rhs(m + 0.5 * dt * k2)
+        k4 = rhs(m + dt * k3)
+        return m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return step
+
+
+# SimConfig.integrator -> factory (grid, params, dt) -> step(m)
+_STEPPERS = {"rk4": _rk4, "semi-implicit": _semi_implicit}
 
 
 @dataclass
@@ -134,14 +133,9 @@ class SimResult:
 def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig) -> SimResult:
     """Advance the field to t_final, recording diagnostics and snapshots."""
     grid = initial.grid
-    config.validate(grid, params)
+    step_fn = config.validate(grid, params)
     m = initial.values.copy()
     n_steps = int(round(config.t_final / config.dt))
-    stepper = (
-        _SemiImplicit(grid, params, config.dt)
-        if config.integrator == "semi-implicit"
-        else None
-    )
 
     times, drifts, energies, phis = [], [], [], []
     snap_t, snaps = [initial.time], [m.copy()]
@@ -168,10 +162,7 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
     record(initial.time, m)
     t = initial.time
     for step in range(1, n_steps + 1):
-        if stepper is not None:
-            m = stepper.step(m)
-        else:
-            m = _rk4_step(m, grid, params, config.dt)
+        m = step_fn(m)
         if config.renormalize:
             m = _project(m)
         t = initial.time + step * config.dt
@@ -213,25 +204,32 @@ def build_wavetrain_initial(
 ) -> MagnetizationField:
     """Exact wavetrain sample, optionally perturbed in the tangent space."""
     check_commensurate(wt.k, grid)
-    fld = wavetrain_field(wt, grid)
+    if perturbation is None or perturbation.kind != "sideband":
+        return _perturb(wavetrain_field(wt, grid), perturbation)
+    check_commensurate(perturbation.ell, grid)
+    x = grid.x
+    a = perturbation.amplitude
+    theta = np.full(grid.n, wt.theta) + a * np.cos(perturbation.ell * x)
+    phi = wt.k * x + a * np.sin(perturbation.ell * x)
+    st, ct = np.sin(theta), np.cos(theta)
+    values = np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+    return MagnetizationField(grid, values)
+
+
+def _perturb(fld: MagnetizationField, perturbation: PerturbationSpec | None) -> MagnetizationField:
+    """The base field plus seeded tangent noise, for kind "noise"; as is for "none".
+
+    Wavetrain and constant-state initial data both draw their noise here.
+    """
     if perturbation is None or perturbation.kind == "none":
         return fld
-    x = grid.x
-    if perturbation.kind == "sideband":
-        check_commensurate(perturbation.ell, grid)
-        a = perturbation.amplitude
-        theta = np.full(grid.n, wt.theta) + a * np.cos(perturbation.ell * x)
-        phi = wt.k * x + a * np.sin(perturbation.ell * x)
-        st, ct = np.sin(theta), np.cos(theta)
-        values = np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
-        return MagnetizationField(grid, values)
-    if perturbation.kind == "noise":
-        rng = np.random.default_rng(perturbation.seed)
-        noise = rng.normal(scale=perturbation.amplitude, size=(grid.n, 3))
-        m = fld.values
-        noise -= np.sum(noise * m, axis=1, keepdims=True) * m  # tangent part
-        return MagnetizationField(grid, _project(m + noise))
-    raise ValueError(f"unknown perturbation kind {perturbation.kind!r}")
+    if perturbation.kind != "noise":
+        raise ValueError(f"unknown perturbation kind {perturbation.kind!r}")
+    rng = np.random.default_rng(perturbation.seed)
+    noise = rng.normal(scale=perturbation.amplitude, size=(fld.grid.n, 3))
+    m = fld.values
+    noise -= np.sum(noise * m, axis=1, keepdims=True) * m  # tangent part
+    return MagnetizationField(fld.grid, _project(m + noise))
 
 
 # ---------------------------------------------------------------------------

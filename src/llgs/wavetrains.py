@@ -8,7 +8,7 @@ their polar angle solves cos(theta) = (h - beta/alpha)/(mu - k^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -151,6 +151,16 @@ def test_coherent_homoclinic_files(capsys, tmp_path):
         assert len(lines) > 100
 
 
+def test_coherent_profile_paths_under_dotted_directory(capsys, tmp_path):
+    out_dir = tmp_path / "a.b"
+    out_dir.mkdir()
+    code, _, _ = run(
+        ["coherent", "--preset", "cohex", "--out", str(out_dir / "prof")], capsys
+    )
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["prof.json", "prof_1.csv", "prof_2.csv"]
+
+
 def test_coherent_drift_mode(capsys):
     code, out, _ = run(
         ["coherent", "--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "0",
@@ -169,6 +179,15 @@ def test_coherent_small_amplitude_mode(capsys):
     assert record["det_B"] < 0
     assert record["kernel_ok"] is True
     assert abs(record["q"] ** 2 - 0.5) < 1e-12
+
+
+def test_coherent_small_amplitude_below_speed_bound_is_numerical_failure(capsys):
+    code, _, err = run(
+        ["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1",
+         "--h", "0.5", "--s", "0.01"], capsys,
+    )
+    assert code == 3
+    assert "speed bound" in err
 
 
 def test_simulate_equilibrium_flatline(capsys, tmp_path):
@@ -194,6 +213,16 @@ def test_simulate_deterministic_given_seed(capsys, tmp_path):
     run(args + ["--out", str(a)], capsys)
     run(args + ["--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_sideband_on_e3_is_config_error(capsys):
+    code, out, err = run(
+        ["simulate", "--preset", "equilibrium", "--perturbation", "sideband",
+         "--ell", "1", "--amplitude", "0.1"], capsys,
+    )
+    assert code == 2
+    assert "config error" in err and "sideband" in err
+    assert out == ""
 
 
 def test_simulate_cfl_rejection_is_numerical_failure(capsys):

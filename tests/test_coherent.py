@@ -17,7 +17,6 @@ from llgs.coherent import (
     lift_to_ode,
     monotone_drift_check,
     ode_rhs,
-    pole_equilibrium,
     pole_q_first_order,
     potential,
     slaved_fast_variables,
@@ -254,7 +253,7 @@ def test_pole_equilibrium_against_first_order():
     s = 50.0
     ansatz = CoherentAnsatz(s, 0.0)
     for theta0 in (0.0, math.pi):
-        pt, q = pole_equilibrium(params, ansatz, theta0)
+        pt, q = slaved_fast_variables(params, ansatz, theta0)
         q1 = pole_q_first_order(params, 0.0, 0.0, s, theta0)
         assert abs(q - q1) < 5e-4 / s  # agreement to the next order
 
@@ -264,7 +263,7 @@ def test_slow_manifold_transverse_eigenvalues():
     params = ModelParams(1.0, 0.0, 1.0, 0.0)
     s = 50.0
     ansatz = CoherentAnsatz(s, 0.0)
-    pt, q = pole_equilibrium(params, ansatz, 0.0)
+    pt, q = slaved_fast_variables(params, ansatz, 0.0)
     J = dode_jacobian([0.0, pt, q], params, ansatz)[1:, 1:]
     evals = np.sort(np.linalg.eigvals(J).real)
     fast = s * math.sqrt(1 + params.alpha ** 2)

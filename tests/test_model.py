@@ -174,6 +174,23 @@ def test_energy_of_uniform_state(grid):
     assert abs(energy(fld, params) - expected) < 1e-12
 
 
+def test_energy_and_dissipation_on_nonperiodic_grid():
+    grid = Grid1D(3.0, 31, periodic=False)
+    params = ModelParams(0.7, 0.0, 2.0, 0.5)
+    theta0 = 0.4
+    values = np.tile([math.sin(theta0), 0.0, math.cos(theta0)], (grid.n, 1))
+    fld = MagnetizationField(grid, values)
+    m3 = math.cos(theta0)
+    # uniform density over [0, L], endpoints included
+    expected = (0.5 * params.mu * m3 ** 2 - params.h * m3) * grid.length
+    assert energy(fld, params) == pytest.approx(expected, rel=1e-13)
+    # |dm/dt|^2 = x is linear, so the trapezoid rule gives -alpha * L^2/2 exactly
+    mdot = np.zeros((grid.n, 3))
+    mdot[:, 0] = np.sqrt(grid.x)
+    rate = dissipation_rate(fld, mdot, params)
+    assert rate == pytest.approx(-params.alpha * grid.length ** 2 / 2, rel=1e-13)
+
+
 def test_dissipation_rate_requires_variational_case(rng, grid):
     fld = random_smooth_field(rng, grid)
     params = ModelParams(1.0, 0.0, 1.0, 0.2)
