@@ -116,12 +116,18 @@ def params_from_config(cp, args) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _opt(cp, args, section, key, cast=float, default=None):
+def _opt(cp, args, section, key, cast=float, default=None, choices=None):
+    """A flag, else the config value, else `default`.  A config value outside
+    `choices` is a ConfigError, as argparse makes it one for the flag."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
     if cp is not None and cp.has_option(section, key):
         raw = cp.get(section, key)
+        if choices is not None and raw not in choices:
+            raise ConfigError(
+                f"{section}.{key}: {raw!r} is not one of {', '.join(choices)}"
+            )
         try:
             return cast(raw) if cast is not bool else cp.getboolean(section, key)
         except ValueError as exc:
@@ -318,6 +324,12 @@ def cmd_coherent(args, cp):
     raise ConfigError(f"unknown coherent mode {mode!r}")
 
 
+# values accepted for simulate's integrator, initial and perturbation, by flag or config
+INTEGRATORS = ("rk4", "semi-implicit")
+INITIALS = ("wavetrain", "e3")
+PERTURBATIONS = ("none", "sideband", "noise")
+
+
 def cmd_simulate(args, cp):
     params = params_from_config(cp, args)
     section = "simulate"
@@ -325,11 +337,14 @@ def cmd_simulate(args, cp):
     n = int(_opt(cp, args, section, "n", cast=int, default=256))
     dt = _opt(cp, args, section, "dt", default=0.01)
     t_final = _opt(cp, args, section, "t_final", default=10.0)
-    integrator = _opt(cp, args, section, "integrator", cast=str, default="semi-implicit")
-    initial_kind = _opt(cp, args, section, "initial", cast=str, default="wavetrain")
+    integrator = _opt(cp, args, section, "integrator", cast=str, default="semi-implicit",
+                      choices=INTEGRATORS)
+    initial_kind = _opt(cp, args, section, "initial", cast=str, default="wavetrain",
+                        choices=INITIALS)
     k = _opt(cp, args, section, "k", default=0.0)
     sign = int(_opt(cp, args, section, "sign", cast=int, default=1))
-    pert_kind = _opt(cp, args, section, "perturbation", cast=str, default="none")
+    pert_kind = _opt(cp, args, section, "perturbation", cast=str, default="none",
+                     choices=PERTURBATIONS)
     pert_ell = _opt(cp, args, section, "ell", default=0.0)
     pert_amp = _opt(cp, args, section, "amplitude", default=0.0)
     seed = args.seed if args.seed is not None else int(_opt(cp, args, section, "seed", cast=int, default=0))
@@ -343,14 +358,12 @@ def cmd_simulate(args, cp):
         if wt is None:
             raise ConfigError(f"no wavetrain exists at k = {k} for these parameters")
         initial = build_wavetrain_initial(wt, grid, pert)
-    elif initial_kind == "e3":
+    else:  # e3
         if pert.kind == "sideband":
             raise ConfigError("a sideband perturbation needs initial = wavetrain, not e3")
         values = np.zeros((n, 3))
         values[:, 2] = sign
         initial = _perturb(MagnetizationField(grid, values), pert)
-    else:
-        raise ConfigError(f"unknown initial condition {initial_kind!r}")
 
     config = SimConfig(dt=dt, t_final=t_final, integrator=integrator,
                            diag_every=diag_every, store_every=store_every)
@@ -428,11 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--integrator", choices=("rk4", "semi-implicit"))
-    p.add_argument("--initial", choices=("wavetrain", "e3"))
+    p.add_argument("--integrator", choices=INTEGRATORS)
+    p.add_argument("--initial", choices=INITIALS)
     p.add_argument("--k", type=float)
     p.add_argument("--sign", type=int)
-    p.add_argument("--perturbation", choices=("none", "sideband", "noise"))
+    p.add_argument("--perturbation", choices=PERTURBATIONS)
     p.add_argument("--ell", type=float)
     p.add_argument("--amplitude", type=float)
 

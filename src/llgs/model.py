@@ -12,6 +12,9 @@ stepping is
 
     (1 + alpha^2) dm/dt = -m x g - alpha m x (m x g),   g = m_xx - f(m),
     f(m) = (mu*m3 - h) e3 + beta m x e3.
+
+Its one kernel, `_ll_rhs`, evaluates this component by component, without
+np.cross.
 """
 
 from __future__ import annotations
@@ -118,7 +121,11 @@ def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np
     dx = grid.dx
     out = np.empty_like(values)
     if grid.periodic:
-        out[:] = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2 * dx)
+        # v[i+1] - v[i-1], wrapping around; bit-equal to the np.roll stencil
+        np.subtract(values[2:], values[:-2], out=out[1:-1])
+        np.subtract(values[1:2], values[-1:], out=out[:1])
+        np.subtract(values[:1], values[-2:-1], out=out[-1:])
+        out /= 2 * dx
     else:
         out[1:-1] = (values[2:] - values[:-2]) / (2 * dx)
         out[0] = (values[1] - values[0]) / dx
@@ -134,9 +141,17 @@ def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> n
             q2 = q2[:, None]
         return np.real(np.fft.ifft(-q2 * np.fft.fft(values, axis=0), axis=0))
     dx2 = grid.dx ** 2
-    if grid.periodic:
-        return (np.roll(values, -1, axis=0) - 2 * values + np.roll(values, 1, axis=0)) / dx2
     out = np.empty_like(values)
+    if grid.periodic:
+        # (v[i+1] - 2 v[i]) + v[i-1], wrapping around, summed in this order so
+        # that it is bit-equal to the np.roll stencil
+        out[:-1] = values[1:]
+        out[-1:] = values[:1]
+        out -= 2 * values
+        out[1:] += values[:-1]
+        out[:1] += values[-1:]
+        out /= dx2
+        return out
     out[1:-1] = (values[2:] - 2 * values[1:-1] + values[:-2]) / dx2
     # one-sided copies of the adjacent interior stencil
     out[0] = (values[0] - 2 * values[1] + values[2]) / dx2
@@ -145,6 +160,16 @@ def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> n
 
 
 UNIT_NORM_TOL = 1e-12
+
+
+def _row_norm(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (n, 3) array.
+
+    Sums the squares in np.linalg.norm's order, so it equals
+    np.linalg.norm(m, axis=1) bit for bit at about half the cost.
+    """
+    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
+    return np.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
 
 
 @dataclass
@@ -166,7 +191,7 @@ class MagnetizationField:
             )
 
     def norm_drift(self) -> float:
-        return float(np.max(np.abs(np.linalg.norm(self.values, axis=1) - 1.0)))
+        return float(np.max(np.abs(_row_norm(self.values) - 1.0)))
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL):
         drift = self.norm_drift()
@@ -174,7 +199,7 @@ class MagnetizationField:
             raise ValueError(f"field is not unit-norm: max drift {drift:.3e}")
 
     def renormalized(self) -> "MagnetizationField":
-        norms = np.linalg.norm(self.values, axis=1, keepdims=True)
+        norms = _row_norm(self.values)[:, None]
         return MagnetizationField(self.grid, self.values / norms, self.time)
 
 
@@ -220,23 +245,30 @@ def local_wavenumber(sph: SphericalField, method: str = "fd") -> np.ndarray:
     return first_derivative(sph.phi, sph.grid, method)
 
 
-def anisotropy_field(values: np.ndarray, params: ModelParams) -> np.ndarray:
-    """f(m) = (mu*m3 - h) e3 + beta m x e3."""
-    f = np.zeros_like(values)
-    f[:, 2] = params.mu * values[:, 2] - params.h
-    f += params.beta * np.cross(values, E3)
-    return f
-
-
 def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:
     """Landau-Lifshitz dm/dt of a (n, 3) array m with Laplacian lap.
 
     The one evaluation of the right-hand side: the time steppers call it
-    directly, so a stepper that also needs lap computes it once.
+    directly, so a stepper that also needs lap computes it once.  It works
+    component by component, with g = lap - f(m) written out and both cross
+    products in np.cross's operation order, so it equals the np.cross
+    formula bit for bit.
     """
-    g = lap - anisotropy_field(m, params)
-    mxg = np.cross(m, g)
-    return (-mxg - params.alpha * np.cross(m, mxg)) / (1.0 + params.alpha ** 2)
+    beta = params.beta
+    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
+    g1 = lap[:, 0] - beta * m2
+    g2 = lap[:, 1] + beta * m1
+    g3 = lap[:, 2] - (params.mu * m3 - params.h)
+    c1 = m2 * g3 - m3 * g2  # c = m x g
+    c2 = m3 * g1 - m1 * g3
+    c3 = m1 * g2 - m2 * g1
+    alpha = params.alpha
+    scale = 1.0 + alpha ** 2
+    out = np.empty_like(m)
+    out[:, 0] = (-c1 - alpha * (m2 * c3 - m3 * c2)) / scale  # m x c
+    out[:, 1] = (-c2 - alpha * (m3 * c1 - m1 * c3)) / scale
+    out[:, 2] = (-c3 - alpha * (m1 * c2 - m2 * c1)) / scale
+    return out
 
 
 def rhs_landau_lifshitz(

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, CFLError, CommensurabilityError
-from .model import Grid1D, MagnetizationField, ModelParams, _ll_rhs, energy, second_derivative
+from .model import (
+    Grid1D,
+    MagnetizationField,
+    ModelParams,
+    _ll_rhs,
+    _row_norm,
+    energy,
+    second_derivative,
+)
 from .wavetrains import Wavetrain, wavetrain_field
 
 CFL_SAFETY = 0.25
@@ -79,7 +87,7 @@ class Trajectory:
 
 
 def _project(m: np.ndarray) -> np.ndarray:
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
+    return m / _row_norm(m)[:, None]
 
 
 def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
@@ -144,7 +152,8 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
 
     def record(t, m):
         nonlocal phi_prev, phi_acc
-        drift = float(np.max(np.abs(np.linalg.norm(m, axis=1) - 1.0)))
+        fld = MagnetizationField(grid, m, t)
+        drift = fld.norm_drift()
         if not np.isfinite(m).all():
             raise BlowupError(
                 f"NaN at t = {t:.4g}: finite-time blow-up or under-resolution"
@@ -156,7 +165,7 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
         phi_prev = phi_now
         times.append(t)
         drifts.append(drift)
-        energies.append(energy(MagnetizationField(grid, m, t), params))
+        energies.append(energy(fld, params))
         phis.append(phi_acc)
 
     record(initial.time, m)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from llgs.cli import main
+from llgs.cli import main, preset_path
 
 
 def run(args, capsys):
@@ -222,6 +222,31 @@ def test_simulate_sideband_on_e3_is_config_error(capsys):
     )
     assert code == 2
     assert "config error" in err and "sideband" in err
+    assert out == ""
+
+
+def _equilibrium_config(tmp_path, old, new):
+    """A copy of the equilibrium preset with one line replaced."""
+    text = preset_path("equilibrium").read_text()
+    assert old in text
+    path = tmp_path / "run.cfg"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def test_unknown_integrator_in_config_is_config_error(capsys, tmp_path):
+    cfg = _equilibrium_config(tmp_path, "integrator = semi-implicit", "integrator = euler")
+    code, out, err = run(["simulate", "--config", cfg], capsys)
+    assert code == 2
+    assert "config error" in err and "euler" in err
+    assert out == ""
+
+
+def test_unknown_perturbation_in_config_is_config_error(capsys, tmp_path):
+    cfg = _equilibrium_config(tmp_path, "sign = 1", "sign = 1\nperturbation = bogus")
+    code, out, err = run(["simulate", "--config", cfg], capsys)
+    assert code == 2
+    assert "config error" in err and "bogus" in err
     assert out == ""
 
 

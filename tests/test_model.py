@@ -20,6 +20,7 @@ from llgs import (
 )
 from llgs.errors import SouthPoleError
 from llgs.model import (
+    _ll_rhs,
     first_derivative,
     gilbert_residual,
     local_wavenumber,
@@ -111,6 +112,15 @@ def test_fd_second_derivative_convergence_order():
     assert abs(order - 2.0) < 0.1
 
 
+def test_periodic_stencils_equal_roll_formulas_bitwise(rng, grid):
+    dx = grid.dx
+    m = random_smooth_field(rng, grid).values
+    for v in (m, m[:, 0].copy()):  # (n, 3) and 1-D input
+        up, down = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
+        assert np.array_equal(first_derivative(v, grid), (up - down) / (2 * dx))
+        assert np.array_equal(second_derivative(v, grid), (up - 2 * v + down) / dx ** 2)
+
+
 def test_spherical_round_trip(rng, grid):
     fld = random_smooth_field(rng, grid)
     back = from_spherical(to_spherical(fld))
@@ -143,6 +153,24 @@ def test_rhs_is_tangent(rng, grid):
         fld = random_smooth_field(rng, grid)
         mdot = rhs_landau_lifshitz(fld, params)
         assert np.max(np.abs(np.sum(mdot * fld.values, axis=1))) < 1e-12
+
+
+def _ll_rhs_vector_form(m, lap, params):
+    """Reference: the right-hand side written with np.cross on (n, 3) arrays."""
+    f = np.zeros_like(m)
+    f[:, 2] = params.mu * m[:, 2] - params.h
+    f += params.beta * np.cross(m, np.array([0.0, 0.0, 1.0]))
+    mxg = np.cross(m, lap - f)
+    return (-mxg - params.alpha * np.cross(m, mxg)) / (1.0 + params.alpha ** 2)
+
+
+def test_ll_rhs_equals_vector_form_bitwise(rng, grid):
+    for _ in range(20):
+        params = random_params(rng)
+        assert params.alpha != 1.0
+        m = random_smooth_field(rng, grid).values
+        lap = second_derivative(m, grid)
+        assert np.array_equal(_ll_rhs(m, lap, params), _ll_rhs_vector_form(m, lap, params))
 
 
 def test_gilbert_form_equivalence(rng):

@@ -18,7 +18,7 @@ from llgs import (
 from llgs.coherent import CoherentAnsatz, CoherentProfile
 from llgs.errors import BlowupError, CFLError, CommensurabilityError
 from llgs.model import rotate_about_e3
-from llgs.simulate import Trajectory, cfl_limit, mode_amplitudes
+from llgs.simulate import Trajectory, _project, cfl_limit, mode_amplitudes
 from llgs.wavetrains import wavetrain_field
 
 from conftest import random_smooth_field
@@ -138,6 +138,13 @@ def test_blowup_reported_as_error():
     values[3] = [np.nan, 0.0, 0.0]
     with pytest.raises(BlowupError):
         simulate(MagnetizationField(grid, values), PARAMS, SimConfig(dt=0.01, t_final=0.1))
+
+
+def test_project_equals_linalg_norm_bitwise(rng):
+    grid = Grid1D(2 * np.pi, 128)
+    for _ in range(5):
+        m = random_smooth_field(rng, grid).values * rng.uniform(0.5, 2.0, size=(grid.n, 1))
+        assert np.array_equal(_project(m), m / np.linalg.norm(m, axis=1, keepdims=True))
 
 
 def test_sideband_perturbation_structure():
