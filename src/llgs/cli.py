@@ -3,7 +3,7 @@
 Runs are configured by INI files (section [model] for alpha/beta/mu/h plus a
 section per subcommand) or by mirroring flags; every run is deterministic
 given its seed.  Output is CSV (default) or JSON.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+2 bad parameter, unknown key or out-of-range value, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ import numpy as np
 
 from . import coherent
 from . import spectrum as spec
-from .errors import ConfigError, LLGSError
+from .errors import ConfigError, ConvergenceError, LLGSError
 from .model import Grid1D, MagnetizationField, ModelParams, classify_anisotropy, to_spherical
-from .simulate import PerturbationSpec, SimConfig, _perturb, build_wavetrain_initial, simulate
+from .simulate import (_STEPPERS, PerturbationSpec, SimConfig, _perturb,
+                       build_wavetrain_initial, simulate)
 from .wavetrains import e3_eigenvalues, e3_stability, wavetrain_at
 
 
@@ -97,42 +98,71 @@ def load_config(source) -> configparser.ConfigParser:
     return cp
 
 
-def params_from_config(cp, args) -> ModelParams:
-    vals = {}
-    for name in ("alpha", "beta", "mu", "h"):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            vals[name] = flag
-        elif cp is not None and cp.has_option("model", name):
-            try:
-                vals[name] = cp.getfloat("model", name)
-            except ValueError as exc:
-                raise ConfigError(f"model.{name} is not a number") from exc
-    if "alpha" not in vals:
+# Every run option, declared once: section -> key -> (type, default, choices).
+# A key is an INI key of its section and the flag --key-name of its
+# subcommand; the [model] keys are flags of every subcommand.  A None default
+# depends on the mode or the parameters and is filled in by the handler.
+OPTIONS = {
+    "model": {"alpha": (float, None, None), "beta": (float, 0.0, None),
+              "mu": (float, 0.0, None), "h": (float, 0.0, None)},
+    "classify": {},
+    "wavetrains": {"k_min": (float, 0.0, None), "k_max": (float, 2.0, None),
+                   "n_k": (int, 81, None)},
+    "spectrum": {"k": (float, 0.0, None), "ell_max": (float, 2.0, None),
+                 "n_samples": (int, 201, None), "c_ph": (float, 0.0, None)},
+    "coherent": {
+        "mode": (str, "portrait", ("portrait", "homoclinic", "fast", "small-amplitude", "drift")),
+        "omega_freq": (float, None, None),  # beta/alpha
+        "c_integral": (float, 0.0, None),
+        "s": (float, None, None),  # 50 for fast, 2 for small-amplitude
+        "omega0": (float, 0.0, None), "omega1": (float, 0.0, None),
+        "theta0": (float, 0.0, None),
+    },
+    "simulate": {
+        "L": (float, 2 * math.pi, None), "n": (int, 256, None), "dt": (float, 0.01, None),
+        "t_final": (float, 10.0, None), "integrator": (str, "semi-implicit", tuple(_STEPPERS)),
+        "initial": (str, "wavetrain", ("wavetrain", "e3")), "k": (float, 0.0, None),
+        "sign": (int, 1, (1, -1)), "perturbation": (str, "none", ("none", "sideband", "noise")),
+        "ell": (float, 0.0, None), "amplitude": (float, 0.0, None), "seed": (int, 0, None),
+        "diag_every": (int, 10, None), "store_every": (int, 100, None),
+    },
+}
+
+
+def params_from_config(cp, args):
+    """The model parameters and the options of `args.command`.
+
+    Each value is its flag, else its config value, else its OPTIONS default.
+    A key of [model] or of the command's section that OPTIONS does not list,
+    a value that does not parse and one outside its choices are ConfigErrors,
+    as argparse makes them for a flag.  Other sections are not read.
+    """
+    resolved = []
+    for section in ("model", args.command):
+        table = OPTIONS[section]
+        if cp is not None and cp.has_section(section):
+            unknown = set(cp.options(section)) - {cp.optionxform(key) for key in table}
+            if unknown:
+                raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
+        values = {}
+        for key, (cast, default, choices) in table.items():
+            value = getattr(args, key)
+            if value is None and cp is not None and cp.has_option(section, key):
+                raw = cp.get(section, key)
+                try:
+                    value = cast(raw)
+                except ValueError as exc:
+                    raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
+                if choices is not None and value not in choices:
+                    raise ConfigError(
+                        f"{section}.{key}: {raw!r} is not one of {', '.join(map(str, choices))}"
+                    )
+            values[key] = default if value is None else value
+        resolved.append(values)
+    model, options = resolved
+    if model["alpha"] is None:
         raise ConfigError("missing required parameter alpha")
-    try:
-        return ModelParams(**vals)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _opt(cp, args, section, key, cast=float, default=None, choices=None):
-    """A flag, else the config value, else `default`.  A config value outside
-    `choices` is a ConfigError, as argparse makes it one for the flag."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if cp is not None and cp.has_option(section, key):
-        raw = cp.get(section, key)
-        if choices is not None and raw not in choices:
-            raise ConfigError(
-                f"{section}.{key}: {raw!r} is not one of {', '.join(choices)}"
-            )
-        try:
-            return cast(raw) if cast is not bool else cp.getboolean(section, key)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
-    return default
+    return ModelParams(**model), options
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +171,8 @@ def _opt(cp, args, section, key, cast=float, default=None, choices=None):
 
 
 def cmd_classify(args, cp):
-    params = params_from_config(cp, args)
+    """Regime and constant-state stability."""
+    params, _ = params_from_config(cp, args)
     regime = classify_anisotropy(params)
     stab = e3_stability(params)
     record = {
@@ -157,15 +188,13 @@ def cmd_classify(args, cp):
 
 
 def cmd_wavetrains(args, cp):
-    params = params_from_config(cp, args)
-    k_min = _opt(cp, args, "wavetrains", "k_min", default=0.0)
-    k_max = _opt(cp, args, "wavetrains", "k_max", default=2.0)
-    n_k = int(_opt(cp, args, "wavetrains", "n_k", cast=int, default=81))
+    """Wavetrain catalog over a k-grid."""
+    params, opts = params_from_config(cp, args)
     report = spec.sideband_wavenumber(params)
     k_star = report.k_star if report.k_star is not None else math.nan
     header = ("k", "theta", "m3", "r", "omega", "stability_class", "k_star")
     rows = []
-    for k in np.linspace(k_min, k_max, n_k):
+    for k in np.linspace(opts["k_min"], opts["k_max"], opts["n_k"]):
         try:
             wt = wavetrain_at(params, float(k))
         except LLGSError:
@@ -182,11 +211,9 @@ def cmd_wavetrains(args, cp):
 
 
 def cmd_spectrum(args, cp):
-    params = params_from_config(cp, args)
-    k = _opt(cp, args, "spectrum", "k", default=0.0)
-    ell_max = _opt(cp, args, "spectrum", "ell_max", default=2.0)
-    n_samples = int(_opt(cp, args, "spectrum", "n_samples", cast=int, default=201))
-    c_ph = _opt(cp, args, "spectrum", "c_ph", default=0.0)
+    """Essential spectrum branches of a wavetrain."""
+    params, opts = params_from_config(cp, args)
+    k, ell_max, n_samples, c_ph = opts["k"], opts["ell_max"], opts["n_samples"], opts["c_ph"]
     wt = wavetrain_at(params, k)
     header = ("ell", "re_lambda_1", "im_lambda_1", "re_lambda_2", "im_lambda_2",
               "residual_1", "residual_2")
@@ -204,12 +231,12 @@ def cmd_spectrum(args, cp):
         write_rows(args.out, header, rows, args.format)
         return 0
     b1, b2 = spec.spectrum_curves(wt, params, ell_max, n_samples, c_ph)
-    rows = []
-    for i, ell in enumerate(b1.ell):
-        r1 = abs(spec.dispersion(wt, params, b1.lam[i], 1j * ell, c_ph))
-        r2 = abs(spec.dispersion(wt, params, b2.lam[i], 1j * ell, c_ph))
-        rows.append((float(ell), b1.lam[i].real, b1.lam[i].imag,
-                     b2.lam[i].real, b2.lam[i].imag, r1, r2))
+    r1, r2 = b1.residuals(wt, params, c_ph), b2.residuals(wt, params, c_ph)
+    rows = [
+        (float(ell), b1.lam[i].real, b1.lam[i].imag, b2.lam[i].real, b2.lam[i].imag,
+         r1[i], r2[i])
+        for i, ell in enumerate(b1.ell)
+    ]
     write_rows(args.out, header, rows, args.format)
     return 0
 
@@ -236,10 +263,11 @@ def _out_path(out, tag="", ext=None):
 
 
 def cmd_coherent(args, cp):
-    params = params_from_config(cp, args)
-    mode = _opt(cp, args, "coherent", "mode", cast=str, default="portrait")
-    Omega = _opt(cp, args, "coherent", "omega_freq", default=params.precession_frequency)
-    C = _opt(cp, args, "coherent", "c_integral", default=0.0)
+    """Coherent-structure analysis."""
+    params, opts = params_from_config(cp, args)
+    mode, Omega, C = opts["mode"], opts["omega_freq"], opts["c_integral"]
+    if Omega is None:
+        Omega = params.precession_frequency
 
     if mode == "portrait":
         portrait = coherent.stationary_portrait(params, Omega, C)
@@ -276,12 +304,11 @@ def cmd_coherent(args, cp):
         return 0
 
     if mode == "fast":
-        Omega0 = _opt(cp, args, "coherent", "omega0", default=0.0)
-        Omega1 = _opt(cp, args, "coherent", "omega1", default=0.0)
-        s = _opt(cp, args, "coherent", "s", default=50.0)
+        Omega0, Omega1 = opts["omega0"], opts["omega1"]
+        s = 50.0 if opts["s"] is None else opts["s"]
         result = coherent.fast_heteroclinic(params, Omega0, Omega1, s)
         if not result.converged:
-            raise RuntimeError(f"fast-front shooting failed: {result.note}")
+            raise ConvergenceError(f"fast-front shooting failed: {result.note}")
         record = {"mode": "fast", "s": s, "interior_theta": result.interior_theta,
                   "fronts": []}
         for i, front in enumerate(result.fronts, start=1):
@@ -304,69 +331,42 @@ def cmd_coherent(args, cp):
         return 0
 
     if mode == "small-amplitude":
-        s = _opt(cp, args, "coherent", "s", default=2.0)
-        theta0 = _opt(cp, args, "coherent", "theta0", default=0.0)
-        report = coherent.small_amplitude_bifurcation(params, s, theta0)
+        s = 2.0 if opts["s"] is None else opts["s"]
+        report = coherent.small_amplitude_bifurcation(params, s, opts["theta0"])
         write_record(args.out, dataclasses.asdict(report))
         return 0
 
-    if mode == "drift":
-        report = coherent.monotone_drift_check(params, Omega)
-        write_record(args.out, {
-            "mode": "drift",
-            "monotone": report.monotone,
-            "expected_sign": report.expected_sign,
-            "q_crossed_zero": report.q_crossed_zero,
-            "crossing_xi": report.crossing_xi,
-        })
-        return 0
-
-    raise ConfigError(f"unknown coherent mode {mode!r}")
-
-
-# values accepted for simulate's integrator, initial and perturbation, by flag or config
-INTEGRATORS = ("rk4", "semi-implicit")
-INITIALS = ("wavetrain", "e3")
-PERTURBATIONS = ("none", "sideband", "noise")
+    # drift
+    report = coherent.monotone_drift_check(params, Omega)
+    write_record(args.out, {
+        "mode": "drift",
+        "monotone": report.monotone,
+        "expected_sign": report.expected_sign,
+        "q_crossed_zero": report.q_crossed_zero,
+        "crossing_xi": report.crossing_xi,
+    })
+    return 0
 
 
 def cmd_simulate(args, cp):
-    params = params_from_config(cp, args)
-    section = "simulate"
-    L = _opt(cp, args, section, "L", default=2 * math.pi)
-    n = int(_opt(cp, args, section, "n", cast=int, default=256))
-    dt = _opt(cp, args, section, "dt", default=0.01)
-    t_final = _opt(cp, args, section, "t_final", default=10.0)
-    integrator = _opt(cp, args, section, "integrator", cast=str, default="semi-implicit",
-                      choices=INTEGRATORS)
-    initial_kind = _opt(cp, args, section, "initial", cast=str, default="wavetrain",
-                        choices=INITIALS)
-    k = _opt(cp, args, section, "k", default=0.0)
-    sign = int(_opt(cp, args, section, "sign", cast=int, default=1))
-    pert_kind = _opt(cp, args, section, "perturbation", cast=str, default="none",
-                     choices=PERTURBATIONS)
-    pert_ell = _opt(cp, args, section, "ell", default=0.0)
-    pert_amp = _opt(cp, args, section, "amplitude", default=0.0)
-    seed = args.seed if args.seed is not None else int(_opt(cp, args, section, "seed", cast=int, default=0))
-    diag_every = int(_opt(cp, args, section, "diag_every", cast=int, default=10))
-    store_every = int(_opt(cp, args, section, "store_every", cast=int, default=100))
-
-    grid = Grid1D(L, n)
-    pert = PerturbationSpec(pert_kind, pert_ell, pert_amp, seed)
-    if initial_kind == "wavetrain":
-        wt = wavetrain_at(params, k)
+    """Direct PDE integration."""
+    params, opts = params_from_config(cp, args)
+    config = SimConfig(dt=opts["dt"], t_final=opts["t_final"], integrator=opts["integrator"],
+                       diag_every=opts["diag_every"], store_every=opts["store_every"])
+    grid = Grid1D(opts["L"], opts["n"])
+    pert = PerturbationSpec(opts["perturbation"], opts["ell"], opts["amplitude"], opts["seed"])
+    if opts["initial"] == "wavetrain":
+        wt = wavetrain_at(params, opts["k"])
         if wt is None:
-            raise ConfigError(f"no wavetrain exists at k = {k} for these parameters")
+            raise ConfigError(f"no wavetrain exists at k = {opts['k']} for these parameters")
         initial = build_wavetrain_initial(wt, grid, pert)
     else:  # e3
         if pert.kind == "sideband":
             raise ConfigError("a sideband perturbation needs initial = wavetrain, not e3")
-        values = np.zeros((n, 3))
-        values[:, 2] = sign
+        values = np.zeros((grid.n, 3))
+        values[:, 2] = opts["sign"]
         initial = _perturb(MagnetizationField(grid, values), pert)
 
-    config = SimConfig(dt=dt, t_final=t_final, integrator=integrator,
-                           diag_every=diag_every, store_every=store_every)
     result = simulate(initial, params, config)
 
     diag = result.diagnostics
@@ -380,10 +380,7 @@ def cmd_simulate(args, cp):
         sph = to_spherical(final)
         frows = [
             (float(x), float(m[0]), float(m[1]), float(m[2]), float(th), float(q))
-            for x, m, th, q in zip(
-                grid.x, final.values, sph.theta,
-                np.gradient(sph.phi, grid.dx),
-            )
+            for x, m, th, q in zip(grid.x, final.values, sph.theta, np.gradient(sph.phi, grid.dx))
         ]
         write_rows(_out_path(args.out, "_final"), ("x", "m1", "m2", "m3", "theta", "q"), frows,
                    args.format)
@@ -398,57 +395,14 @@ def cmd_simulate(args, cp):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="llgs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, handler in HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", help="name of a shipped preset config")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, help="seed for randomized perturbations")
-        for name in ("alpha", "beta", "mu", "h"):
-            p.add_argument(f"--{name}", type=float)
-
-    p = sub.add_parser("classify", help="regime and constant-state stability")
-    common(p)
-
-    p = sub.add_parser("wavetrains", help="wavetrain catalog over a k-grid")
-    common(p)
-    p.add_argument("--k-min", dest="k_min", type=float)
-    p.add_argument("--k-max", dest="k_max", type=float)
-    p.add_argument("--n-k", dest="n_k", type=int)
-
-    p = sub.add_parser("spectrum", help="essential spectrum branches of a wavetrain")
-    common(p)
-    p.add_argument("--k", type=float)
-    p.add_argument("--ell-max", dest="ell_max", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--c-ph", dest="c_ph", type=float)
-
-    p = sub.add_parser("coherent", help="coherent-structure analysis")
-    common(p)
-    p.add_argument("--mode", choices=("portrait", "homoclinic", "fast", "small-amplitude", "drift"))
-    p.add_argument("--omega-freq", dest="omega_freq", type=float,
-                   help="azimuthal frequency Omega (default beta/alpha)")
-    p.add_argument("--c-integral", dest="c_integral", type=float, help="first integral C")
-    p.add_argument("--s", type=float, help="profile speed")
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--omega1", type=float)
-    p.add_argument("--theta0", type=float)
-
-    p = sub.add_parser("simulate", help="direct PDE integration")
-    common(p)
-    p.add_argument("--L", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--integrator", choices=INTEGRATORS)
-    p.add_argument("--initial", choices=INITIALS)
-    p.add_argument("--k", type=float)
-    p.add_argument("--sign", type=int)
-    p.add_argument("--perturbation", choices=PERTURBATIONS)
-    p.add_argument("--ell", type=float)
-    p.add_argument("--amplitude", type=float)
-
+        for key, (cast, _, choices) in {**OPTIONS["model"], **OPTIONS[command]}.items():
+            p.add_argument("--" + key.replace("_", "-"), type=cast, choices=choices)
     return parser
 
 
@@ -462,8 +416,7 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cp = None
         if args.preset:
@@ -474,7 +427,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LLGSError, RuntimeError, FloatingPointError) as exc:
+    except LLGSError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

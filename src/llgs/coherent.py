@@ -16,8 +16,9 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import brentq, fsolve
 
-from .errors import NoLocalBifurcation, PoleSingularityError, SpeedTooLow
-from .model import ModelParams
+from .errors import (ConfigError, ConvergenceError, NoLocalBifurcation, PoleSingularityError,
+                     SpeedTooLow)
+from .model import ModelParams, _unit_vectors
 from .wavetrains import wavetrain_at
 
 SIN_TOL = 1e-8
@@ -33,7 +34,7 @@ class CoherentAnsatz:
     def q_selected(self, params: ModelParams) -> float:
         """Steady-state wavenumber (Omega - beta/alpha)/s enforced for s != 0."""
         if self.s == 0.0:
-            raise ValueError("selected wavenumber requires s != 0")
+            raise ConfigError("selected wavenumber requires s != 0")
         return (self.Omega - params.beta / params.alpha) / self.s
 
 
@@ -102,9 +103,7 @@ class CoherentProfile:
 
     def magnetization(self) -> np.ndarray:
         """(n, 3) magnetization samples of the profile at t = 0."""
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        ph = self.phi()
-        return np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
+        return _unit_vectors(self.theta, self.phi())
 
 
 def lift_to_ode(profile: CoherentProfile) -> CoherentProfile:
@@ -314,7 +313,7 @@ def integrate_stationary(
         atol=atol,
     )
     if not sol.success:
-        raise RuntimeError(f"stationary integration failed: {sol.message}")
+        raise ConvergenceError(f"stationary integration failed: {sol.message}")
     return CoherentProfile(sol.t, sol.y[0], sol.y[1], sol.y[2], ansatz)
 
 
@@ -381,7 +380,7 @@ def _integrate_reduced(params, Omega, C, y0, sgn, xi_max):
         events=turning, dense_output=True, max_step=0.5,
     )
     if not len(sol.t_events[0]):
-        raise RuntimeError("no turning point found; orbit is not a homoclinic loop")
+        raise ConvergenceError("no turning point found; orbit is not a homoclinic loop")
     xi_t = sol.t_events[0][0]
     half = np.linspace(0.0, xi_t, 1000)
     y = sol.sol(half)
@@ -522,14 +521,10 @@ def fast_heteroclinic(
             front = _shoot_from_pole(params, ansatz, Omega1, theta0, interior,
                                      xi_max, target_tol)
             fronts.append(front)
-        except _NoConnection as exc:
+        except ConvergenceError as exc:
             ok = False
             notes.append(str(exc))
     return FastFrontResult(fronts, interior, ok, "; ".join(notes))
-
-
-class _NoConnection(RuntimeError):
-    pass
 
 
 def slaved_fast_variables(params, ansatz, theta: float, guess=None):
@@ -552,7 +547,7 @@ def slaved_fast_variables(params, ansatz, theta: float, guess=None):
     sol, info, ok, msg = fsolve(G, guess, fprime=DG, full_output=True, xtol=1e-13)
     residual = float(np.max(np.abs(G(sol))))
     if ok != 1 and residual > 1e-9:
-        raise _NoConnection(
+        raise ConvergenceError(
             f"slow manifold breaks down at theta={theta:.4f} (s too small?): {msg}"
         )
     return float(sol[0]), float(sol[1])
@@ -606,7 +601,7 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior, xi_max, target_to
         dense_output=True,
     )
     if not len(sol.t_events[0]):
-        raise _NoConnection(
+        raise ConvergenceError(
             f"shot from theta0={theta0} did not reach theta={target_theta:.4f} "
             f"within xi={xi_max:.0f}"
         )
@@ -680,7 +675,7 @@ def small_amplitude_bifurcation(params: ModelParams, s: float, theta0: float) ->
     """
     sigma = math.cos(theta0)
     if abs(abs(sigma) - 1.0) > 1e-12:
-        raise ValueError("theta0 must be 0 or pi")
+        raise ConfigError("theta0 must be 0 or pi")
     a = params.alpha
     q2 = params.mu + sigma * (params.beta / a - params.h)
     if abs(q2 - params.mu) < 1e-14 and abs(params.force_balance) < 1e-14:

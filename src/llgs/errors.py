@@ -54,5 +54,20 @@ class NoLocalBifurcation(LLGSError):
     """No small-amplitude bifurcation from the pole for these parameters."""
 
 
-class ConfigError(LLGSError):
-    """Malformed run configuration."""
+class ConfigError(LLGSError, ValueError):
+    """A bad argument or run setting: a parameter out of its range, an unknown
+    option or config key, a value that does not parse.
+
+    The CLI exits with code 2.  It is also a ValueError, so code that
+    catches ValueError around an argument check still catches it.
+    """
+
+
+class ConvergenceError(LLGSError, RuntimeError):
+    """A numerical method did not reach its goal: an ODE integration failed,
+    a shot missed its target, a root solve did not converge or a fit found
+    no window.
+
+    The CLI exits with code 3.  It is also a RuntimeError, so code that
+    catches RuntimeError around a solver still catches it.
+    """

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SouthPoleError
+from .errors import ConfigError, SouthPoleError
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -40,7 +40,7 @@ class ModelParams:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise ValueError(f"Gilbert damping must be positive, got alpha={self.alpha}")
+            raise ConfigError(f"Gilbert damping must be positive, got alpha={self.alpha}")
 
     @property
     def force_balance(self) -> float:
@@ -92,7 +92,9 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError("grid needs at least 3 points for a Laplacian stencil")
+            raise ConfigError("grid needs at least 3 points for a Laplacian stencil")
+        if not 0 < self.length < np.inf:
+            raise ConfigError(f"grid length must be positive and finite, got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -107,7 +109,7 @@ class Grid1D:
     def wavenumbers(self) -> np.ndarray:
         """Fourier wavenumbers of the periodic grid (fftfreq convention)."""
         if not self.periodic:
-            raise ValueError("Fourier wavenumbers require a periodic grid")
+            raise ConfigError("Fourier wavenumbers require a periodic grid")
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
@@ -186,7 +188,7 @@ class MagnetizationField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n, 3):
-            raise ValueError(
+            raise ConfigError(
                 f"values shape {self.values.shape} does not match grid ({self.grid.n}, 3)"
             )
 
@@ -196,7 +198,7 @@ class MagnetizationField:
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL):
         drift = self.norm_drift()
         if drift > tol:
-            raise ValueError(f"field is not unit-norm: max drift {drift:.3e}")
+            raise ConfigError(f"field is not unit-norm: max drift {drift:.3e}")
 
     def renormalized(self) -> "MagnetizationField":
         norms = _row_norm(self.values)[:, None]
@@ -234,10 +236,14 @@ def to_spherical(fld: MagnetizationField) -> SphericalField:
     return SphericalField(fld.grid, theta, phi, fld.time)
 
 
+def _unit_vectors(theta, phi) -> np.ndarray:
+    """(n, 3) unit vectors at polar angles theta and azimuths phi."""
+    st, ct = np.sin(theta), np.cos(theta)
+    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+
+
 def from_spherical(sph: SphericalField) -> MagnetizationField:
-    st, ct = np.sin(sph.theta), np.cos(sph.theta)
-    values = np.column_stack([st * np.cos(sph.phi), st * np.sin(sph.phi), ct])
-    return MagnetizationField(sph.grid, values, sph.time)
+    return MagnetizationField(sph.grid, _unit_vectors(sph.theta, sph.phi), sph.time)
 
 
 def local_wavenumber(sph: SphericalField, method: str = "fd") -> np.ndarray:
@@ -326,7 +332,7 @@ def dissipation_rate(
     Only meaningful for beta = 0; the Slonczewski term is non-variational.
     """
     if params.beta != 0.0:
-        raise ValueError("energy decay identity requires beta = 0")
+        raise ConfigError("energy decay identity requires beta = 0")
     return -params.alpha * _integrate(np.sum(field_dt ** 2, axis=1), fld.grid)
 
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, CFLError, CommensurabilityError
+from .errors import BlowupError, CFLError, CommensurabilityError, ConfigError, ConvergenceError
 from .model import (
     Grid1D,
     MagnetizationField,
     ModelParams,
     _ll_rhs,
     _row_norm,
+    _unit_vectors,
     energy,
     second_derivative,
 )
@@ -45,11 +46,22 @@ class SimConfig:
     diag_every: int = 10  # steps between diagnostic records
     store_every: int = 100  # steps between stored snapshots
 
+    def __post_init__(self):
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.t_final >= 0 and math.isfinite(self.t_final)):
+            raise ConfigError(f"t_final must be non-negative and finite, got {self.t_final}")
+        if self.diag_every < 1 or self.store_every < 1:
+            raise ConfigError(
+                f"diag_every and store_every must be at least 1, got "
+                f"{self.diag_every} and {self.store_every}"
+            )
+
     def validate(self, grid: Grid1D, params: ModelParams):
         """Check the run against the grid and return its step function m -> m."""
         make_step = _STEPPERS.get(self.integrator)
         if make_step is None:
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+            raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.integrator == "rk4":
             limit = cfl_limit(grid, params)
             if self.dt > limit:
@@ -72,7 +84,7 @@ class Diagnostics:
         """Rotation frequency d(phi)/dt from a linear fit of phi0."""
         mask = self.times >= t_min
         if np.count_nonzero(mask) < 2:
-            raise ValueError("not enough diagnostic samples for a frequency fit")
+            raise ConfigError("not enough diagnostic samples for a frequency fit")
         return float(np.polyfit(self.times[mask], self.phi0[mask], 1)[0])
 
 
@@ -81,9 +93,6 @@ class Trajectory:
     grid: Grid1D
     times: np.ndarray
     values: list  # list of (n, 3) snapshots
-
-    def field(self, i: int) -> MagnetizationField:
-        return MagnetizationField(self.grid, self.values[i], float(self.times[i]))
 
 
 def _project(m: np.ndarray) -> np.ndarray:
@@ -220,9 +229,7 @@ def build_wavetrain_initial(
     a = perturbation.amplitude
     theta = np.full(grid.n, wt.theta) + a * np.cos(perturbation.ell * x)
     phi = wt.k * x + a * np.sin(perturbation.ell * x)
-    st, ct = np.sin(theta), np.cos(theta)
-    values = np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
-    return MagnetizationField(grid, values)
+    return MagnetizationField(grid, _unit_vectors(theta, phi))
 
 
 def _perturb(fld: MagnetizationField, perturbation: PerturbationSpec | None) -> MagnetizationField:
@@ -233,7 +240,7 @@ def _perturb(fld: MagnetizationField, perturbation: PerturbationSpec | None) -> 
     if perturbation is None or perturbation.kind == "none":
         return fld
     if perturbation.kind != "noise":
-        raise ValueError(f"unknown perturbation kind {perturbation.kind!r}")
+        raise ConfigError(f"unknown perturbation kind {perturbation.kind!r}")
     rng = np.random.default_rng(perturbation.seed)
     noise = rng.normal(scale=perturbation.amplitude, size=(fld.grid.n, 3))
     m = fld.values
@@ -292,7 +299,7 @@ def measure_growth_rate(
     t, la = t[mask], np.log(amps[mask])
     while True:
         if len(t) < 5:
-            raise RuntimeError(
+            raise ConvergenceError(
                 "growth-rate fit failed: saturation before a linear window "
                 f"of 5 samples (residual tolerance {residual_tol})"
             )
@@ -363,9 +370,7 @@ def verify_coherent_profile(
     theta_of, phi_of = _profile_interpolators(profile)
     x0 = profile.xi[0] - 0.25 * grid.length + 0.25 * (profile.xi[-1] - profile.xi[0])
     x = grid.x + x0
-    th, ph = theta_of(x), phi_of(x)
-    st, ct = np.sin(th), np.cos(th)
-    initial = MagnetizationField(grid, np.column_stack([st * np.cos(ph), st * np.sin(ph), ct]))
+    initial = MagnetizationField(grid, _unit_vectors(theta_of(x), phi_of(x)))
 
     if dt is None:
         dt = cfl_limit(grid, params) if integrator == "rk4" else 0.01
@@ -378,10 +383,7 @@ def verify_coherent_profile(
     defects = []
     for t, m in zip(result.trajectory.times, result.trajectory.values):
         xs = x - ansatz.s * t
-        th, ph = theta_of(xs), phi_of(xs)
-        ph = ph + ansatz.Omega * t
-        st, ct = np.sin(th), np.cos(th)
-        ref = np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
+        ref = _unit_vectors(theta_of(xs), phi_of(xs) + ansatz.Omega * t)
         defects.append(float(np.max(np.abs(m - ref)[lo:hi])))
     defects = np.array(defects)
     t_arr = result.trajectory.times

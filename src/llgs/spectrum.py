@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroAmplitudeError
+from .errors import ConfigError, ZeroAmplitudeError
 from .model import AnisotropyRegime, ModelParams, classify_anisotropy
 from .wavetrains import Wavetrain
 
@@ -93,9 +93,12 @@ class SpectrumBranch:
     lam: np.ndarray
     branch_id: int
 
+    def residuals(self, base: Wavetrain, params: ModelParams, c_ph: float = 0.0) -> list:
+        """|d_{c_ph}(lambda, i ell)| at each sample of the branch."""
+        return [abs(dispersion(base, params, l, 1j * e, c_ph)) for e, l in zip(self.ell, self.lam)]
+
     def max_residual(self, base: Wavetrain, params: ModelParams, c_ph: float = 0.0) -> float:
-        res = [abs(dispersion(base, params, l, 1j * e, c_ph)) for e, l in zip(self.ell, self.lam)]
-        return float(max(res))
+        return float(max(self.residuals(base, params, c_ph)))
 
 
 def spectrum_curves(
@@ -113,7 +116,7 @@ def spectrum_curves(
     """
     _require_amplitude(base)
     if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise ConfigError("need at least 2 samples")
     ells = np.linspace(0.0, ell_max, n_samples)
     lam1 = np.empty(n_samples, dtype=complex)
     lam2 = np.empty(n_samples, dtype=complex)
@@ -177,9 +180,6 @@ class SidebandReport:
     K_star: float | None
     stable_band: bool
     note: str = ""
-
-    def D(self, params: ModelParams, k: float) -> float:
-        return curvature_factor(params, k)
 
 
 def sideband_wavenumber(params: ModelParams, tol: float = 1e-12) -> SidebandReport:

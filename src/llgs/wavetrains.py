@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFamilyError
+from .errors import ConfigError, DegenerateFamilyError
 from .model import AnisotropyRegime, Grid1D, MagnetizationField, ModelParams, classify_anisotropy
 
 
@@ -119,7 +119,7 @@ def e3_eigenvalues(params: ModelParams, sign: int, ell: float):
     signs belong to +e3.
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ConfigError("sign must be +1 or -1")
     a = params.alpha
     re = a * (params.mu - sign * params.force_balance - ell * ell) / (1.0 + a * a)
     lam = []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from llgs.cli import main, preset_path
+from llgs.cli import build_parser, load_config, main, params_from_config, preset_path
 
 
 def run(args, capsys):
@@ -248,6 +248,63 @@ def test_unknown_perturbation_in_config_is_config_error(capsys, tmp_path):
     assert code == 2
     assert "config error" in err and "bogus" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, old, new, key",
+    [
+        ("simulate", "t_final = 10.0", "t-final = 1.0", "t-final"),
+        ("classify", "h = 0.9", "hh = 0.5", "hh"),
+    ],
+)
+def test_unknown_key_in_config_is_config_error(capsys, tmp_path, command, old, new, key):
+    cfg = _equilibrium_config(tmp_path, old, new)
+    code, out, err = run([command, "--config", cfg], capsys)
+    assert code == 2
+    assert "config error" in err and key in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, preset",
+    [("wavetrains", f"wavetrains-{x}") for x in "abc"]
+    + [("coherent", f"phaseplane-{x}") for x in "abcd"]
+    + [("coherent", p) for p in ("cohex", "wt-cyl-q", "fast-front")]
+    + [("simulate", p) for p in ("equilibrium", "hopf", "sideband")]
+    + [("classify", "hopf")],
+)
+def test_preset_keys_are_known(command, preset):
+    """Every key in [model] and the command's section of a shipped preset is an option."""
+    cp = load_config(str(preset_path(preset)))
+    params_from_config(cp, build_parser().parse_args([command, "--preset", preset]))
+
+
+@pytest.mark.parametrize(
+    "argv, edit",
+    [
+        (["simulate", "--preset", "equilibrium", "--dt", "0"], None),
+        (["simulate", "--preset", "equilibrium", "--dt", "-0.01"], None),
+        (["simulate", "--preset", "equilibrium", "--sign", "2"], None),
+        (["simulate"], ("sign = 1", "sign = 1\ndiag_every = 0")),
+        (["simulate", "--preset", "equilibrium", "--n", "2"], None),
+        (["simulate", "--preset", "equilibrium", "--L", "-1"], None),
+        (["spectrum", "--alpha", "1", "--beta", "0", "--mu", "1", "--h", "0.5", "--k", "0.3",
+          "--n-samples", "1"], None),
+        (["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1", "--h", "0.5",
+          "--s", "5", "--theta0", "1"], None),
+    ],
+    ids=["dt-zero", "dt-negative", "sign-2", "diag-every-zero", "n-2", "L-negative",
+         "n-samples-1", "theta0-1"],
+)
+def test_out_of_range_setting_is_config_error(capsys, tmp_path, argv, edit):
+    if edit is not None:
+        argv = argv + ["--config", _equilibrium_config(tmp_path, *edit)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag outside its choices
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_cfl_rejection_is_numerical_failure(capsys):
