@@ -190,6 +190,8 @@ def cmd_classify(args, cp):
 def cmd_wavetrains(args, cp):
     """Wavetrain catalog over a k-grid."""
     params, opts = params_from_config(cp, args)
+    if opts["n_k"] < 1:
+        raise ConfigError(f"n_k must be at least 1, got {opts['n_k']}")
     report = spec.sideband_wavenumber(params)
     k_star = report.k_star if report.k_star is not None else math.nan
     header = ("k", "theta", "m3", "r", "omega", "stability_class", "k_star")
@@ -214,6 +216,8 @@ def cmd_spectrum(args, cp):
     """Essential spectrum branches of a wavetrain."""
     params, opts = params_from_config(cp, args)
     k, ell_max, n_samples, c_ph = opts["k"], opts["ell_max"], opts["n_samples"], opts["c_ph"]
+    if n_samples < 2:
+        raise ConfigError("need at least 2 samples")
     wt = wavetrain_at(params, k)
     header = ("ell", "re_lambda_1", "im_lambda_1", "re_lambda_2", "im_lambda_2",
               "residual_1", "residual_2")

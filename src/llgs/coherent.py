@@ -22,6 +22,7 @@ from .model import ModelParams, _unit_vectors
 from .wavetrains import wavetrain_at
 
 SIN_TOL = 1e-8
+FRONT_TARGET_TOL = 1e-4  # a fast-front shot ends this close to its target theta
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,8 @@ def dode_rhs(state, params: ModelParams, ansatz: CoherentAnsatz) -> np.ndarray:
 
 
 def dode_jacobian(state, params: ModelParams, ansatz: CoherentAnsatz) -> np.ndarray:
+    """Jacobian of dode_rhs; at p_tilde = 0 it is the small-amplitude
+    linearization (Omega does not enter)."""
     theta, pt, q = state
     st, ct = math.sin(theta), math.cos(theta)
     s = ansatz.s
@@ -199,28 +202,32 @@ def _classify_equilibrium(theta, C, params, Omega):
 def stationary_equilibria(params: ModelParams, Omega: float, C: float):
     """Equilibria of the reduced stationary pendulum on (0, pi), plus the
     poles when C = 0 (domain then the full circle)."""
-    eqs = []
-    if C == 0.0:
-        for th0, d in ((0.0, params.h - Omega - params.mu),
-                       (math.pi, -(params.h - Omega + params.mu))):
-            kind = "saddle" if d > 0 else ("center" if d < 0 else "degenerate")
-            eqs.append(StationaryEquilibrium(th0, kind, potential(th0, 0.0, params, Omega)[0]))
+    roots = [0.0, math.pi] if C == 0.0 else []
     grid = np.linspace(1e-6, math.pi - 1e-6, 2001)
     vals = np.array([pendulum_force(t, C, params, Omega) for t in grid])
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
-            root = grid[i]
+            roots.append(grid[i])
         elif vals[i] * vals[i + 1] < 0:
-            root = brentq(lambda t: pendulum_force(t, C, params, Omega), grid[i], grid[i + 1])
-        else:
-            continue
-        kind = _classify_equilibrium(root, C, params, Omega)
-        eqs.append(StationaryEquilibrium(root, kind, potential(root, C, params, Omega)[0]))
+            roots.append(brentq(lambda t: pendulum_force(t, C, params, Omega),
+                                grid[i], grid[i + 1]))
+    eqs = [StationaryEquilibrium(t, _classify_equilibrium(t, C, params, Omega),
+                                 potential(t, C, params, Omega)[0]) for t in roots]
     return sorted(eqs, key=lambda e: e.theta)
 
 
 def stationary_portrait(params: ModelParams, Omega: float, C: float) -> StationaryPortrait:
     """Equilibria and connection structure of the stationary reduction.
+
+    Connections are read off the equilibrium levels.  The equilibria are
+    sorted around the pendulum's domain: the circle for C = 0, where each
+    interior equilibrium appears again at its mirror -theta, and otherwise
+    the interval (0, pi) closed by the infinite pole barriers.  From each
+    saddle, in each direction, the walk stops at the first equilibrium that
+    is a saddle at the same level (|difference| <= 1e-9), giving a
+    heteroclinic to that position, or that lies above the saddle's level,
+    is the saddle itself after a full loop, or is a pole barrier, giving a
+    homoclinic.
 
     Off resonance (Omega != beta/alpha) there are no equilibria and no
     bounded coherent structures; see monotone_drift_check.
@@ -228,65 +235,28 @@ def stationary_portrait(params: ModelParams, Omega: float, C: float) -> Stationa
     if abs(Omega - params.beta / params.alpha) > 1e-12:
         return StationaryPortrait([], [], "no equilibria: Omega != beta/alpha")
     eqs = stationary_equilibria(params, Omega, C)
-    saddles = [e for e in eqs if e.kind == "saddle"]
+    ring = [(e.theta, e.kind, e.level) for e in eqs]
+    if C == 0.0:
+        ring = [(-t, kind, lev) for t, kind, lev in reversed(ring) if 0.0 < t < math.pi] + ring
+    else:
+        ring = [(0.0, "barrier", math.inf)] + ring + [(math.pi, "barrier", math.inf)]
     connections = []
-    # domain of the reduced pendulum: full circle for C = 0, (0, pi) otherwise
-    lo, hi = (-math.pi, math.pi) if C == 0.0 else (0.0, math.pi)
-    for sd in saddles:
-        for side, sgn in (("right", 1.0), ("left", -1.0)):
-            conn = _trace_level(sd, sgn, saddles, C, params, Omega, lo, hi)
-            if conn is not None:
-                connections.append(Connection(conn[0], sd.theta, conn[1], side, sd.level))
+    for i, (theta, kind, level) in enumerate(ring):
+        if kind != "saddle" or theta < 0.0:  # start once per saddle, not at a mirror
+            continue
+        for side, step in (("right", 1), ("left", -1)):
+            conn, to = "homoclinic", theta
+            j = (i + step) % len(ring)
+            while j != i:
+                pos, kind_j, level_j = ring[j]
+                if kind_j == "saddle" and abs(level_j - level) <= 1e-9:
+                    conn, to = "heteroclinic", pos
+                    break
+                if level_j > level + 1e-12:
+                    break
+                j = (j + step) % len(ring)
+            connections.append(Connection(conn, theta, to, side, level))
     return StationaryPortrait(eqs, connections)
-
-
-def _circle_dist(a, b):
-    d = (a - b + math.pi) % (2 * math.pi) - math.pi
-    return abs(d)
-
-
-def _trace_level(saddle, sgn, saddles, C, params, Omega, lo, hi, n=4000):
-    """March from a saddle; first re-attainment of its level decides the
-    connection: an equal-level saddle elsewhere -> heteroclinic, the same
-    saddle after a full loop or a regular turning point -> homoclinic."""
-    level = saddle.level
-    span = hi - lo
-    step = span / n
-    theta = saddle.theta + sgn * step
-    travelled = step
-    while travelled < span:
-        th = theta
-        if C == 0.0:
-            th = (th + math.pi) % (2 * math.pi) - math.pi  # wrap onto the circle
-        P = potential(abs(th) if C == 0.0 else th, C, params, Omega)[0]
-        # (the C=0 potential is even in theta)
-        if travelled > 2 * step:
-            for other in saddles:
-                if abs(other.level - level) > 1e-9:
-                    continue
-                # mirror partners -other.theta are saddles of the even potential too
-                targets = (
-                    {other.theta, -other.theta} if C == 0.0 else {other.theta}
-                )
-                for pos in targets:
-                    near = (
-                        _circle_dist(th, pos) if C == 0.0 else abs(th - pos)
-                    ) < 1.5 * step
-                    if not near:
-                        continue
-                    same = (
-                        _circle_dist(pos, saddle.theta) < 1e-9
-                        if C == 0.0
-                        else abs(pos - saddle.theta) < 1e-9
-                    )
-                    if same:
-                        return ("homoclinic", saddle.theta)
-                    return ("heteroclinic", pos)
-        if P > level + 1e-12:
-            return ("homoclinic", saddle.theta)
-        theta += sgn * step
-        travelled += step
-    return None
 
 
 def integrate_stationary(
@@ -296,21 +266,17 @@ def integrate_stationary(
     p0: float,
     q0: float,
     xi_span: float,
-    rtol: float = 1e-12,
-    atol: float = 1e-12,
-    n_out: int = 2000,
 ) -> CoherentProfile:
     """Integrate the full stationary system (s = 0) in (theta, p, q)."""
     ansatz = CoherentAnsatz(0.0, Omega)
-    xi = np.linspace(0.0, xi_span, n_out)
     sol = solve_ivp(
         lambda t, y: ode_rhs(y, params, ansatz),
         (0.0, xi_span),
         [theta0, p0, q0],
-        t_eval=xi,
+        t_eval=np.linspace(0.0, xi_span, 2000),
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-12,
+        atol=1e-12,
     )
     if not sol.success:
         raise ConvergenceError(f"stationary integration failed: {sol.message}")
@@ -326,13 +292,7 @@ class HomoclinicResult:
     note: str = ""
 
 
-def stationary_homoclinic(
-    params: ModelParams,
-    Omega: float,
-    C: float,
-    xi_max: float = 400.0,
-    end_tol: float = 1e-6,
-) -> HomoclinicResult | None:
+def stationary_homoclinic(params: ModelParams, Omega: float, C: float) -> HomoclinicResult | None:
     """Pair of homoclinic profiles to the stable wavetrain on q = C/sin^2.
 
     The saddle is the local maximum of the potential (the smaller-q
@@ -355,14 +315,13 @@ def stationary_homoclinic(
     lam = math.sqrt(max(_force_slope(ths, C, params, Omega), 0.0))
     profiles = []
     for sgn in (1.0, -1.0):
-        delta = min(end_tol / (1.0 + lam), 1e-8)
+        delta = min(1e-6 / (1.0 + lam), 1e-8)
         y0 = [ths + sgn * delta, sgn * lam * delta]
-        prof = _integrate_reduced(params, Omega, C, y0, sgn, xi_max)
-        profiles.append(prof)
+        profiles.append(_integrate_reduced(params, Omega, C, y0, sgn))
     return HomoclinicResult(profiles, ths, C / math.sin(ths) ** 2)
 
 
-def _integrate_reduced(params, Omega, C, y0, sgn, xi_max):
+def _integrate_reduced(params, Omega, C, y0, sgn):
     """Half-orbit to the turning point p = 0, completed by the reversibility
     symmetry (xi, theta, p) -> (2 xi_t - xi, theta, -p) of the pendulum."""
 
@@ -376,7 +335,7 @@ def _integrate_reduced(params, Omega, C, y0, sgn, xi_max):
     turning.direction = -sgn
 
     sol = solve_ivp(
-        rhs, (0.0, xi_max), y0, method="DOP853", rtol=1e-12, atol=1e-12,
+        rhs, (0.0, 400.0), y0, method="DOP853", rtol=1e-12, atol=1e-12,
         events=turning, dense_output=True, max_step=0.5,
     )
     if not len(sol.t_events[0]):
@@ -401,17 +360,13 @@ class DriftReport:
     xi: np.ndarray
 
 
-def monotone_drift_check(
-    params: ModelParams,
-    Omega: float,
-    state0=(1.2, 0.0, 0.5),
-    xi_span: float = 30.0,
-) -> DriftReport:
+def monotone_drift_check(params: ModelParams, Omega: float) -> DriftReport:
     """Verify Q = log(|q| sin^2 theta) drifts monotonically off resonance.
 
     Along the stationary system with Omega != beta/alpha, Q' = (alpha*Omega
     - beta)/q has constant sign while q keeps its sign, so no bounded
-    coherent structures exist.
+    coherent structures exist.  The orbit starts at (theta, p, q) =
+    (1.2, 0, 0.5) and runs for xi <= 30.
     """
     ansatz = CoherentAnsatz(0.0, Omega)
 
@@ -421,8 +376,8 @@ def monotone_drift_check(
     qzero.terminal = True
     sol = solve_ivp(
         lambda t, y: ode_rhs(y, params, ansatz),
-        (0.0, xi_span),
-        list(state0),
+        (0.0, 30.0),
+        [1.2, 0.0, 0.5],
         method="DOP853",
         rtol=1e-11,
         atol=1e-11,
@@ -433,7 +388,7 @@ def monotone_drift_check(
     y = sol.sol(xi)
     Q = np.log(np.abs(y[2]) * np.sin(y[0]) ** 2)
     dQ = np.diff(Q)
-    expected = math.copysign(1.0, (params.alpha * Omega - params.beta) / state0[2])
+    expected = math.copysign(1.0, params.alpha * Omega - params.beta)  # q0 = 0.5 > 0
     return DriftReport(
         monotone=bool(np.all(expected * dQ > 0)),
         expected_sign=expected,
@@ -494,8 +449,6 @@ def fast_heteroclinic(
     Omega0: float,
     Omega1: float,
     s: float,
-    xi_max: float | None = None,
-    target_tol: float = 1e-4,
 ) -> FastFrontResult:
     """Shoot the pair of front profiles along the slow manifold.
 
@@ -503,24 +456,20 @@ def fast_heteroclinic(
     wavetrain equilibrium theta_1 exists for the selected wavenumber, the
     fronts connect each pole with theta_1; otherwise they run from pole to
     pole.  Shooting starts 1e-8 along the slow eigenvector of the numeric
-    Jacobian and terminates on entering a `target_tol` ball of the target.
+    Jacobian and terminates on entering a FRONT_TARGET_TOL ball of the target.
     """
     Omega = Omega0 + Omega1 * s
     ansatz = CoherentAnsatz(s, Omega)
     q_sel = ansatz.q_selected(params)
     wt = wavetrain_at(params, q_sel)
     interior = wt.theta if wt is not None and 0 < wt.theta < math.pi else None
-    if xi_max is None:
-        xi_max = 80.0 * abs(s) * (1 + params.alpha ** 2) / params.alpha
 
     fronts = []
     ok = True
     notes = []
     for theta0 in (0.0, math.pi):
         try:
-            front = _shoot_from_pole(params, ansatz, Omega1, theta0, interior,
-                                     xi_max, target_tol)
-            fronts.append(front)
+            fronts.append(_shoot_from_pole(params, ansatz, Omega1, theta0, interior))
         except ConvergenceError as exc:
             ok = False
             notes.append(str(exc))
@@ -553,7 +502,7 @@ def slaved_fast_variables(params, ansatz, theta: float, guess=None):
     return float(sol[0]), float(sol[1])
 
 
-def _shoot_from_pole(params, ansatz, Omega1, theta0, interior, xi_max, target_tol):
+def _shoot_from_pole(params, ansatz, Omega1, theta0, interior):
     """Shoot along the slow manifold from the pole equilibrium.
 
     The fast transverse directions are a saddle (+-s*sqrt(1+alpha^2)), so a
@@ -584,12 +533,13 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior, xi_max, target_to
         return [math.sin(y[0]) * slaved(y[0])[0]]
 
     def near_target(_, y):
-        return abs(y[0] - target_theta) - target_tol
+        return abs(y[0] - target_theta) - FRONT_TARGET_TOL
 
     near_target.terminal = True
     near_target.direction = -1
 
     sign = 1.0 if forward else -1.0
+    xi_max = 80.0 * abs(ansatz.s) * (1 + params.alpha ** 2) / params.alpha
     sol = solve_ivp(
         lambda t, y: [sign * rhs(t, y)[0]],
         (0.0, xi_max),
@@ -643,19 +593,6 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior, xi_max, target_to
 # ---------------------------------------------------------------------------
 
 
-def small_amplitude_matrix(theta: float, q: float, params: ModelParams, s: float) -> np.ndarray:
-    """Linearization of the desingularized system at (theta, p_tilde=0, q)."""
-    st, ct = math.sin(theta), math.cos(theta)
-    a = params.alpha
-    return np.array(
-        [
-            [0.0, st, 0.0],
-            [(params.mu - q * q) * st, a * s, 2 * q * ct + s],
-            [0.0, s - 2 * q * ct, -a * s],
-        ]
-    )
-
-
 @dataclass
 class SmallAmplitudeReport:
     q: float
@@ -689,7 +626,7 @@ def small_amplitude_bifurcation(params: ModelParams, s: float, theta0: float) ->
         raise SpeedTooLow(f"speed bound violated: s^2 = {s*s} <= {4*q2/(1+a*a)}")
     Omega = params.beta / a + s * q
     det_B = 4 * q2 * sigma * sigma - (1 + a * a) * s * s
-    A = small_amplitude_matrix(theta0, q, params, s)
+    A = dode_jacobian([theta0, 0.0, q], params, CoherentAnsatz(s, Omega))
     kern = np.linalg.norm(A @ np.array([1.0, 0.0, 0.0]))
     # center eigenvalue ~ coeff * delta^2; the characteristic cubic
     # lam^3 + (det B - E) lam - E*alpha*s = 0 with E = (mu - q^2) sin^2(delta)
@@ -710,6 +647,6 @@ def small_amplitude_bifurcation(params: ModelParams, s: float, theta0: float) ->
 
 def center_eigenvalue(params: ModelParams, s: float, theta0: float, q: float, delta: float) -> float:
     """Smallest-magnitude eigenvalue of the linearization at theta0 + delta."""
-    A = small_amplitude_matrix(theta0 + delta, q, params, s)
+    A = dode_jacobian([theta0 + delta, 0.0, q], params, CoherentAnsatz(s, 0.0))
     evals = np.linalg.eigvals(A)
     return float(np.real(evals[np.argmin(np.abs(evals))]))

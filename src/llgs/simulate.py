@@ -29,6 +29,11 @@ from .model import (
 from .wavetrains import Wavetrain, wavetrain_field
 
 CFL_SAFETY = 0.25
+# verify_coherent_profile: a defect above DEFECT_THRESHOLD marks the onset of
+# instability; the defect is measured over the middle DEFECT_INTERIOR of the
+# domain, since periodic wrap-around pollutes the edges.
+DEFECT_THRESHOLD = 1e-2
+DEFECT_INTERIOR = 0.6
 
 
 def cfl_limit(grid: Grid1D, params: ModelParams) -> float:
@@ -208,9 +213,9 @@ class PerturbationSpec:
     seed: int | None = None
 
 
-def check_commensurate(k: float, grid: Grid1D, tol: float = 1e-9):
+def check_commensurate(k: float, grid: Grid1D):
     cycles = k * grid.length / (2 * math.pi)
-    if abs(cycles - round(cycles)) > tol:
+    if abs(cycles - round(cycles)) > 1e-9:
         raise CommensurabilityError(
             f"k = {k} puts {cycles:.6f} wavelengths on L = {grid.length}; "
             "k*L must be a multiple of 2*pi"
@@ -348,38 +353,31 @@ def verify_coherent_profile(
     profile,
     params: ModelParams,
     window: float,
-    grid: Grid1D | None = None,
     dt: float | None = None,
-    integrator: str = "rk4",
-    threshold: float = 1e-2,
-    interior: float = 0.6,
 ) -> ProfileVerification:
     """Embed a profile as initial data and track the comoving defect.
 
     The defect is ||m_sim(x, t) - R(Omega t) m_profile(x - s t)||_inf over
-    the interior fraction of the domain (periodic wrap-around pollutes the
-    edges).  Unstable endpoints show up as a recorded onset time, not a
-    failure.
+    the middle DEFECT_INTERIOR of a periodic grid twice the profile's span,
+    integrated by RK4 (at the explicit bound unless dt is given).  Unstable
+    endpoints show up as a recorded onset time, not a failure.
     """
     ansatz = profile.ansatz
-    if grid is None:
-        span = profile.xi[-1] - profile.xi[0]
-        length = 2.0 * max(span, 1.0)
-        n = 1 << max(8, int(math.ceil(math.log2(length / 0.05))))
-        grid = Grid1D(length, n)
+    length = 2.0 * max(profile.xi[-1] - profile.xi[0], 1.0)
+    grid = Grid1D(length, 1 << max(8, int(math.ceil(math.log2(length / 0.05)))))
     theta_of, phi_of = _profile_interpolators(profile)
     x0 = profile.xi[0] - 0.25 * grid.length + 0.25 * (profile.xi[-1] - profile.xi[0])
     x = grid.x + x0
     initial = MagnetizationField(grid, _unit_vectors(theta_of(x), phi_of(x)))
 
     if dt is None:
-        dt = cfl_limit(grid, params) if integrator == "rk4" else 0.01
-    config = SimConfig(dt=dt, t_final=window, integrator=integrator,
+        dt = cfl_limit(grid, params)
+    config = SimConfig(dt=dt, t_final=window, integrator="rk4",
                        store_every=max(1, int(round(window / dt / 40))))
     result = simulate(initial, params, config)
 
-    lo = int(grid.n * (0.5 - interior / 2))
-    hi = int(grid.n * (0.5 + interior / 2))
+    lo = int(grid.n * (0.5 - DEFECT_INTERIOR / 2))
+    hi = int(grid.n * (0.5 + DEFECT_INTERIOR / 2))
     defects = []
     for t, m in zip(result.trajectory.times, result.trajectory.values):
         xs = x - ansatz.s * t
@@ -388,7 +386,7 @@ def verify_coherent_profile(
     defects = np.array(defects)
     t_arr = result.trajectory.times
     onset = None
-    above = np.flatnonzero(defects > threshold)
+    above = np.flatnonzero(defects > DEFECT_THRESHOLD)
     if above.size:
         onset = float(t_arr[above[0]])
     drift = float(np.polyfit(t_arr, defects, 1)[0]) if len(t_arr) > 1 else 0.0

@@ -77,10 +77,9 @@ def dispersion(
 
 def _roots_at(base, params, nu, c_ph):
     """Two roots of the quadratic dispersion relation at fixed nu."""
-    tr = trace_closed_form(base, params, nu) + 2 * c_ph * nu
-    det = det_closed_form(base, params, nu) + c_ph * nu * (
-        trace_closed_form(base, params, nu) + c_ph * nu
-    )
+    tr0 = trace_closed_form(base, params, nu)
+    tr = tr0 + 2 * c_ph * nu
+    det = det_closed_form(base, params, nu) + c_ph * nu * (tr0 + c_ph * nu)
     disc = np.sqrt(tr * tr / 4 - det + 0j)
     return tr / 2 + disc, tr / 2 - disc
 
@@ -182,13 +181,13 @@ class SidebandReport:
     note: str = ""
 
 
-def sideband_wavenumber(params: ModelParams, tol: float = 1e-12) -> SidebandReport:
+def sideband_wavenumber(params: ModelParams) -> SidebandReport:
     """Critical wavenumber k_star of the sideband instability.
 
     Requires the supercritical regime; K_star is the unique root of f in
-    (0, mu), bracketed by f(0) < 0 < f(mu) and found by bisection with a
-    Newton polish.  Outside the supercritical regime all wavetrains are
-    unstable and no stable band exists.
+    (0, mu), bracketed by f(0) < 0 < f(mu) and found by bisection to a
+    1e-12 bracket with a Newton polish.  Outside the supercritical regime
+    all wavetrains are unstable and no stable band exists.
     """
     if classify_anisotropy(params) is not AnisotropyRegime.SUPERCRITICAL or params.mu <= 0:
         return SidebandReport(None, None, False, "no stable band outside supercritical regime")
@@ -200,7 +199,7 @@ def sideband_wavenumber(params: ModelParams, tol: float = 1e-12) -> SidebandRepo
     # f(0) = mu (b^2 - mu^2) < 0 < f(mu) = 4 mu b^2, and
     # f' = 3 b^2 + 3 (K - mu)^2 > 0, so f is monotone with one root in (0, mu).
     lo, hi = 0.0, mu
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if sideband_polynomial(params, mid) < 0:
             lo = mid
@@ -220,8 +219,9 @@ class WavetrainStability:
     MARGINAL_SIDEBAND = "marginal-sideband"
 
 
-def classify_wavetrain_stability(base: Wavetrain, params: ModelParams, tol: float = 1e-10) -> str:
-    """Decision tree for the spectral stability of a wavetrain."""
+def classify_wavetrain_stability(base: Wavetrain, params: ModelParams) -> str:
+    """Decision tree for the spectral stability of a wavetrain; |k| within
+    1e-10 of k_star is marginal."""
     if params.mu < 0:
         return WavetrainStability.UNSTABLE_EASY_AXIS
     if base.k ** 2 > params.mu:
@@ -229,7 +229,7 @@ def classify_wavetrain_stability(base: Wavetrain, params: ModelParams, tol: floa
     report = sideband_wavenumber(params)
     if report.k_star is None:
         return WavetrainStability.UNSTABLE_SIDEBAND
-    if abs(abs(base.k) - report.k_star) <= tol:
+    if abs(abs(base.k) - report.k_star) <= 1e-10:
         return WavetrainStability.MARGINAL_SIDEBAND
     if abs(base.k) < report.k_star:
         return WavetrainStability.STABLE

@@ -164,9 +164,9 @@ def e3_stability(params: ModelParams) -> EquilibriumStability:
     )
 
 
-def wavetrain_field(wt: Wavetrain, grid: Grid1D, phase: float = 0.0) -> MagnetizationField:
+def wavetrain_field(wt: Wavetrain, grid: Grid1D) -> MagnetizationField:
     """Sample the wavetrain as a magnetization field at t = 0."""
-    ang = wt.k * grid.x + phase
+    ang = wt.k * grid.x
     r = wt.r if not wt.lower_branch else -wt.r
     values = np.column_stack(
         [r * np.cos(ang), r * np.sin(ang), np.full(grid.n, wt.m3)]

@@ -292,9 +292,15 @@ def test_preset_keys_are_known(command, preset):
           "--n-samples", "1"], None),
         (["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1", "--h", "0.5",
           "--s", "5", "--theta0", "1"], None),
+        (["wavetrains", "--preset", "wavetrains-a", "--n-k", "-1"], None),
+        (["spectrum", "--alpha", "1", "--beta", "0", "--mu", "-1", "--h", "2", "--k", "0",
+          "--n-samples", "-1"], None),
+        (["spectrum", "--alpha", "1", "--beta", "0", "--mu", "-1", "--h", "2", "--k", "0",
+          "--n-samples", "1"], None),
     ],
     ids=["dt-zero", "dt-negative", "sign-2", "diag-every-zero", "n-2", "L-negative",
-         "n-samples-1", "theta0-1"],
+         "n-samples-1", "theta0-1", "n-k-negative", "e3-n-samples-negative",
+         "e3-n-samples-1"],
 )
 def test_out_of_range_setting_is_config_error(capsys, tmp_path, argv, edit):
     if edit is not None:

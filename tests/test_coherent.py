@@ -21,7 +21,6 @@ from llgs.coherent import (
     potential,
     slaved_fast_variables,
     small_amplitude_bifurcation,
-    small_amplitude_matrix,
     stationary_first_integral,
     stationary_homoclinic,
     stationary_portrait,
@@ -206,6 +205,43 @@ def test_portrait_subsubcritical_balanced_heteroclinics():
     assert froms == {0.0, round(math.pi, 6)}
 
 
+PI_3 = 1.0471975511965979  # the saddle of phaseplane-a, as the root finder places it
+
+
+@pytest.mark.parametrize(
+    "mu, h, expected",
+    [
+        (1.0, 0.5, [("heteroclinic", PI_3, -PI_3, "right"),
+                    ("heteroclinic", PI_3, -PI_3, "left")]),
+        (0.0, 0.5, [("homoclinic", 0.0, 0.0, "right"), ("homoclinic", 0.0, 0.0, "left")]),
+        (-1.0, 0.5, [("homoclinic", 0.0, 0.0, "right"), ("homoclinic", 0.0, 0.0, "left"),
+                     ("homoclinic", math.pi, math.pi, "right"),
+                     ("homoclinic", math.pi, math.pi, "left")]),
+        (-1.0, 0.0, [("heteroclinic", 0.0, math.pi, "right"),
+                     ("heteroclinic", 0.0, math.pi, "left"),
+                     ("heteroclinic", math.pi, 0.0, "right"),
+                     ("heteroclinic", math.pi, 0.0, "left")]),
+    ],
+    ids=["phaseplane-a", "phaseplane-b", "phaseplane-c", "phaseplane-d"],
+)
+def test_portrait_connection_lists_of_presets(mu, h, expected):
+    """The exact connections of the four phaseplane presets (alpha = 1, beta = 0, C = 0)."""
+    portrait = _portrait(mu, h)
+    assert [(c.kind, c.theta_from, c.theta_to, c.side) for c in portrait.connections] == expected
+
+
+def test_portrait_nonzero_c_homoclinic_pair():
+    # cohex: C = 1 closes (0, pi) with pole barriers; the one saddle loops back to itself
+    params = ModelParams(1.0, 1.0, 7.0, 0.0)
+    portrait = stationary_portrait(params, Omega=1.0, C=1.0)
+    saddles = [e.theta for e in portrait.equilibria if e.kind == "saddle"]
+    assert saddles == [stationary_homoclinic(params, Omega=1.0, C=1.0).saddle_theta]
+    assert [(c.kind, c.theta_from, c.theta_to, c.side) for c in portrait.connections] == [
+        ("homoclinic", saddles[0], saddles[0], "right"),
+        ("homoclinic", saddles[0], saddles[0], "left"),
+    ]
+
+
 def test_homoclinic_profile_pair():
     params = ModelParams(1.0, 1.0, 7.0, 0.0)  # resonance Omega = 1, h - Omega = -1
     result = stationary_homoclinic(params, Omega=1.0, C=1.0)
@@ -348,7 +384,7 @@ def test_center_eigenvalue_quadratic_scaling():
 
 def test_small_amplitude_matrix_structure():
     params = ModelParams(1.0, 0.0, 1.0, 0.5)
-    A = small_amplitude_matrix(0.0, 0.7, params, 2.0)
+    A = dode_jacobian([0.0, 0.0, 0.7], params, CoherentAnsatz(2.0, 0.0))
     assert A[0, 1] == 0.0  # sin(0) = 0: pole plane invariant
     B = A[1:, 1:]
     assert abs(np.trace(B)) < 1e-14

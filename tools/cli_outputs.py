@@ -1,0 +1,70 @@
+"""Run a fixed list of `llgs` CLI invocations and keep everything they leave.
+
+    python3 tools/cli_outputs.py SRC OUT
+
+Each invocation runs in a fresh interpreter with PYTHONPATH=SRC, in its own
+directory OUT/<name>.  That directory keeps every file the run writes, plus
+<name>.stdout, <name>.stderr and <name>.exit.  Run it on two source trees and
+compare with `diff -r OUT_a OUT_b`: an empty diff means every output file,
+message and exit code is byte-identical.
+
+The list is the benchmark's cli-sweep (`SWEEP` in perfbench/workloads.py,
+read, never edited), a few longer runs, and runs that must fail with exit 2
+(a bad setting) or exit 3 (a numerical failure).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no cache files in perfbench/
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import SWEEP  # noqa: E402
+
+MODEL = ["--alpha", "1", "--beta", "0", "--mu", "1", "--h", "0.5"]
+
+# (name, argv, extension of --out, or None to write to stdout)
+RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
+    ("hopf", ["simulate", "--preset", "hopf", "--seed", "1"], ".csv"),
+    ("sideband", ["simulate", "--preset", "sideband", "--t-final", "2"], ".csv"),
+    ("small-amplitude", ["coherent", "--mode", "small-amplitude", *MODEL, "--s", "5"], ".json"),
+    ("drift", ["coherent", "--mode", "drift", "--alpha", "1", "--beta", "0.5", "--mu", "1",
+               "--h", "0", "--omega-freq", "0.7"], ".json"),
+    ("spectrum-e3", ["spectrum", "--alpha", "1", "--beta", "0", "--mu", "-1", "--h", "2",
+                     "--k", "0", "--n-samples", "2001"], ".csv"),
+    # exit 2: a bad setting
+    ("sideband-on-e3", ["simulate", "--preset", "equilibrium", "--perturbation", "sideband",
+                        "--ell", "1", "--amplitude", "0.1"], None),
+    ("alpha-negative", ["classify", "--alpha", "-1"], None),
+    ("preset-unknown", ["classify", "--preset", "nope"], None),
+    # exit 3: a numerical failure
+    ("speed-too-low", ["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1",
+                       "--h", "0.5", "--s", "0.01"], None),
+    ("cfl", ["simulate", "--alpha", "1", "--mu", "1", "--integrator", "rk4", "--n", "512",
+             "--dt", "0.01", "--t-final", "1"], None),
+]
+
+
+def run_all(src: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    for name, argv, ext in RUNS:
+        rundir = out / name
+        rundir.mkdir(parents=True)
+        if ext is not None:
+            argv = argv + ["--out", name + ext]
+        proc = subprocess.run([sys.executable, "-m", "llgs.cli", *argv], cwd=rundir, env=env,
+                              capture_output=True)
+        (rundir / f"{name}.stdout").write_bytes(proc.stdout)
+        (rundir / f"{name}.stderr").write_bytes(proc.stderr)
+        (rundir / f"{name}.exit").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    run_all(Path(sys.argv[1]), Path(sys.argv[2]))
