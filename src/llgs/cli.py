@@ -34,6 +34,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _emit(path, text):
+    """Write `text` to the file `path`, or to stdout when `path` is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def write_rows(path, header, rows, fmt):
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -42,11 +51,7 @@ def write_rows(path, header, rows, fmt):
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, text)
 
 
 def _json_default(obj):
@@ -62,12 +67,7 @@ def _json_default(obj):
 
 
 def write_record(path, record):
-    text = json.dumps(record, indent=2, default=_json_default) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(record, indent=2, default=_json_default) + "\n")
 
 
 # ---------------------------------------------------------------------------

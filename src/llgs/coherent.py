@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.optimize import brentq, fsolve
+from scipy.optimize import brentq
 
 from .errors import (ConfigError, ConvergenceError, NoLocalBifurcation, PoleSingularityError,
                      SpeedTooLow)
@@ -192,6 +192,14 @@ class StationaryPortrait:
     note: str = ""
 
 
+def _off_resonance(params, Omega):  # the pendulum reduction needs Omega = beta/alpha
+    return abs(Omega - params.beta / params.alpha) > 1e-12
+
+
+def _force_vanishes(params, Omega, C):  # the force is then identically zero
+    return C == 0.0 and params.mu == 0.0 and params.h == Omega
+
+
 def _classify_equilibrium(theta, C, params, Omega):
     d = _force_slope(theta, C, params, Omega)
     if abs(d) < 1e-12:
@@ -201,7 +209,9 @@ def _classify_equilibrium(theta, C, params, Omega):
 
 def stationary_equilibria(params: ModelParams, Omega: float, C: float):
     """Equilibria of the reduced stationary pendulum on (0, pi), plus the
-    poles when C = 0 (domain then the full circle)."""
+    poles when C = 0 (domain then the full circle); none if the force is 0."""
+    if _force_vanishes(params, Omega, C):
+        return []
     roots = [0.0, math.pi] if C == 0.0 else []
     grid = np.linspace(1e-6, math.pi - 1e-6, 2001)
     vals = np.array([pendulum_force(t, C, params, Omega) for t in grid])
@@ -232,8 +242,11 @@ def stationary_portrait(params: ModelParams, Omega: float, C: float) -> Stationa
     Off resonance (Omega != beta/alpha) there are no equilibria and no
     bounded coherent structures; see monotone_drift_check.
     """
-    if abs(Omega - params.beta / params.alpha) > 1e-12:
+    if _off_resonance(params, Omega):
         return StationaryPortrait([], [], "no equilibria: Omega != beta/alpha")
+    if _force_vanishes(params, Omega, C):
+        return StationaryPortrait([], [],
+                                  "force vanishes identically: every theta is an equilibrium")
     eqs = stationary_equilibria(params, Omega, C)
     ring = [(e.theta, e.kind, e.level) for e in eqs]
     if C == 0.0:
@@ -297,9 +310,12 @@ def stationary_homoclinic(params: ModelParams, Omega: float, C: float) -> Homocl
 
     The saddle is the local maximum of the potential (the smaller-q
     intersection of the curve C with the wavetrain curve).  Returns None if
-    no saddle exists (all profiles periodic); a tangential intersection is
-    reported as degenerate.
+    no saddle exists (all profiles periodic, or a force identically 0); a
+    tangential intersection is reported as degenerate.  Off resonance
+    (Omega != beta/alpha) the reduction fails: a ConfigError.
     """
+    if _off_resonance(params, Omega):
+        raise ConfigError(f"homoclinic profiles need Omega = beta/alpha, got Omega = {Omega}")
     eqs = stationary_equilibria(params, Omega, C)
     interior = [e for e in eqs if 0.0 < e.theta < math.pi]
     saddles = [e for e in interior if e.kind == "saddle"]
@@ -455,51 +471,59 @@ def fast_heteroclinic(
     One front is attached to theta = 0, the other to theta = pi.  When the
     wavetrain equilibrium theta_1 exists for the selected wavenumber, the
     fronts connect each pole with theta_1; otherwise they run from pole to
-    pole.  Shooting starts 1e-8 along the slow eigenvector of the numeric
-    Jacobian and terminates on entering a FRONT_TARGET_TOL ball of the target.
+    pole.  Shooting starts 1e-8 from the pole along the slow manifold and
+    terminates on entering a FRONT_TARGET_TOL ball of the target.
     """
     Omega = Omega0 + Omega1 * s
     ansatz = CoherentAnsatz(s, Omega)
-    q_sel = ansatz.q_selected(params)
-    wt = wavetrain_at(params, q_sel)
+    wt = wavetrain_at(params, ansatz.q_selected(params))
     interior = wt.theta if wt is not None and 0 < wt.theta < math.pi else None
 
     fronts = []
-    ok = True
     notes = []
     for theta0 in (0.0, math.pi):
         try:
             fronts.append(_shoot_from_pole(params, ansatz, Omega1, theta0, interior))
         except ConvergenceError as exc:
-            ok = False
             notes.append(str(exc))
-    return FastFrontResult(fronts, interior, ok, "; ".join(notes))
+    return FastFrontResult(fronts, interior, not notes, "; ".join(notes))
 
 
-def slaved_fast_variables(params, ansatz, theta: float, guess=None):
-    """(p_tilde, q) on the slow manifold at frozen theta.
+def slaved_fast_variables(params, ansatz, theta):
+    """(p_tilde, q) on the slow manifold at frozen theta, a float or an array.
 
     Solves the two fast equations of the desingularized system with theta
     held fixed; this adiabatic slaving parametrizes M_eps up to O(1/s^2)
-    (the neglected terms dp_tilde/dxi, dq/dxi are of that order).
+    (the neglected terms dp_tilde/dxi, dq/dxi are of that order).  With
+    c = cos(theta), the q-equation gives p_tilde = (beta - alpha (Omega -
+    s q))/(s - 2 q c), which leaves one scalar equation in q:
+        g(q) = h + (q^2 - mu) c - (Omega - s q) + alpha s p_tilde - c p_tilde^2 = 0,
+    solved by Newton's method from the leading-order q = Omega/s at every
+    theta at once.  Raises ConvergenceError ("slow manifold breaks down")
+    when s - 2 q c reaches 0, when Newton does not converge in 50 steps, or
+    when the residual of a fast equation exceeds 1e-9.
     """
-    if guess is None:
-        guess = [0.0, ansatz.Omega / ansatz.s if ansatz.s else 0.0]
-
-    def G(v):
-        rhs = dode_rhs([theta, v[0], v[1]], params, ansatz)
-        return [rhs[1], rhs[2]]
-
-    def DG(v):
-        return dode_jacobian([theta, v[0], v[1]], params, ansatz)[1:, 1:]
-
-    sol, info, ok, msg = fsolve(G, guess, fprime=DG, full_output=True, xtol=1e-13)
-    residual = float(np.max(np.abs(G(sol))))
-    if ok != 1 and residual > 1e-9:
-        raise ConvergenceError(
-            f"slow manifold breaks down at theta={theta:.4f} (s too small?): {msg}"
-        )
-    return float(sol[0]), float(sol[1])
+    a, s, Omega = params.alpha, ansatz.s, ansatz.Omega
+    c = np.cos(theta)
+    q = 0.0 * c + (Omega / s if s else 0.0)  # shaped like theta
+    converged = False
+    for _ in range(50):
+        den = s - 2.0 * q * c
+        if (den == 0.0).any():
+            raise ConvergenceError("slow manifold breaks down (s too small?): s - 2 q c = 0")
+        pt = (params.beta - a * (Omega - s * q)) / den
+        g = params.h + (q * q - params.mu) * c - (Omega - s * q) + a * s * pt - c * pt * pt
+        if converged:  # (pt, g) at the last iterate
+            break
+        step = g / (s + 2.0 * q * c + (a * s - 2.0 * c * pt) * (a * s + 2.0 * c * pt) / den)
+        q = q - step
+        converged = (abs(step) <= 1e-13 * (1.0 + abs(q))).all()
+    else:
+        raise ConvergenceError("slow manifold breaks down (s too small?): Newton did not converge")
+    residual = abs(g).max()  # the q-equation holds by construction of pt
+    if residual > 1e-9:
+        raise ConvergenceError(f"slow manifold breaks down: residual {residual:.1e}")
+    return pt, q
 
 
 def _shoot_from_pole(params, ansatz, Omega1, theta0, interior):
@@ -510,27 +534,14 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior):
     shot integrates the scalar flow theta' = sin(theta) * p_tilde with the
     fast variables slaved to the manifold at every step.
     """
-    pt0, q0 = slaved_fast_variables(params, ansatz, theta0)
     into = 1.0 if theta0 == 0.0 else -1.0
-    delta = 1e-8
-    warm = {"guess": [pt0, q0]}
-
-    def slaved(theta):
-        pt, q = slaved_fast_variables(params, ansatz, theta, warm["guess"])
-        warm["guess"] = [pt, q]
-        return pt, q
-
     theta_probe = theta0 + into * 1e-3
-    drift = math.sin(theta_probe) * slaved(theta_probe)[0]
-    forward = drift * into > 0  # pole repels along M_eps in forward xi
-
-    if interior is not None:
-        target_theta = interior
-    else:
-        target_theta = math.pi - theta0
+    drift = math.sin(theta_probe) * slaved_fast_variables(params, ansatz, theta_probe)[0]
+    sign = 1 if drift * into > 0 else -1  # +1: the pole repels along M_eps in forward xi
+    target_theta = interior if interior is not None else math.pi - theta0
 
     def rhs(_, y):
-        return [math.sin(y[0]) * slaved(y[0])[0]]
+        return [sign * math.sin(y[0]) * slaved_fast_variables(params, ansatz, y[0])[0]]
 
     def near_target(_, y):
         return abs(y[0] - target_theta) - FRONT_TARGET_TOL
@@ -538,12 +549,11 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior):
     near_target.terminal = True
     near_target.direction = -1
 
-    sign = 1.0 if forward else -1.0
     xi_max = 80.0 * abs(ansatz.s) * (1 + params.alpha ** 2) / params.alpha
     sol = solve_ivp(
-        lambda t, y: [sign * rhs(t, y)[0]],
+        rhs,
         (0.0, xi_max),
-        [theta0 + into * delta],
+        [theta0 + into * 1e-8],
         method="DOP853",
         rtol=1e-11,
         atol=1e-13,
@@ -555,36 +565,25 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior):
             f"shot from theta0={theta0} did not reach theta={target_theta:.4f} "
             f"within xi={xi_max:.0f}"
         )
-    t_end = sol.t_events[0][0]
-    tau = np.linspace(0.0, t_end, 3000)
+    tau = np.linspace(0.0, sol.t_events[0][0], 3000)[::sign]  # xi = sign * tau increases
     theta = sol.sol(tau)[0]
     xi = sign * tau
-    if not forward:  # re-order with increasing xi
-        xi, theta = xi[::-1], theta[::-1]
-    pts = np.empty_like(theta)
-    qs = np.empty_like(theta)
-    prev = [pt0, q0]  # rebuild fast variables warm-started from the pole out
-    idx = range(len(theta)) if forward else range(len(theta) - 1, -1, -1)
-    for i in idx:
-        pt, q = slaved_fast_variables(params, ansatz, float(theta[i]), prev)
-        prev = [pt, q]
-        pts[i], qs[i] = pt, q
+    pole, far = (0, -1) if sign > 0 else (-1, 0)  # tau = 0 sits at the pole
+    pts, qs = slaved_fast_variables(params, ansatz, theta)
     # adiabatic defect: the neglected d(p_tilde)/dxi term, O(1/s^2)
     defect = float(np.max(np.abs(np.gradient(pts, xi))))
     profile = CoherentProfile(
         xi, theta, pts, qs, ansatz,
         {"desingularized": True, "adiabatic_defect": defect},
     )
-    dtheta = np.sin(theta) * pts
-    tube = np.max(np.abs(pts) + np.abs(qs - Omega1))
     return FastFront(
         profile=profile,
-        theta_start=float(theta[0] if forward else theta[-1]),
-        theta_end=float(theta[-1] if forward else theta[0]),
-        q_start=float(qs[0] if forward else qs[-1]),
-        q_end=float(qs[-1] if forward else qs[0]),
-        max_dtheta=float(np.max(np.abs(dtheta))),
-        tube_constant=float(abs(ansatz.s) * tube),
+        theta_start=float(theta[pole]),
+        theta_end=float(theta[far]),
+        q_start=float(qs[pole]),
+        q_end=float(qs[far]),
+        max_dtheta=float(np.max(np.abs(np.sin(theta) * pts))),
+        tube_constant=float(abs(ansatz.s) * np.max(np.abs(pts) + np.abs(qs - Omega1))),
     )
 
 

@@ -190,6 +190,30 @@ def test_coherent_small_amplitude_below_speed_bound_is_numerical_failure(capsys)
     assert "speed bound" in err
 
 
+def test_coherent_fast_front_small_s_is_numerical_failure(capsys):
+    code, _, err = run(["coherent", "--preset", "fast-front", "--s", "1"], capsys)
+    assert code == 3
+    assert "slow manifold breaks down" in err
+
+
+def test_coherent_homoclinic_off_resonance_is_config_error(capsys, tmp_path):
+    # the pendulum reduction needs Omega = beta/alpha = 1
+    code, out, err = run(["coherent", "--preset", "cohex", "--omega-freq", "0.5",
+                          "--out", str(tmp_path / "off.csv")], capsys)
+    assert code == 2
+    assert "config error" in err and "beta/alpha" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_coherent_portrait_force_vanishes(capsys):
+    code, out, _ = run(["coherent", "--mode", "portrait", "--alpha", "1", "--mu", "0",
+                        "--h", "0"], capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert record["equilibria"] == [] and record["connections"] == []
+    assert record["note"] == "force vanishes identically: every theta is an equilibrium"
+
+
 def test_simulate_equilibrium_flatline(capsys, tmp_path):
     out = tmp_path / "eq.csv"
     code, _, _ = run(["simulate", "--preset", "equilibrium", "--out", str(out),

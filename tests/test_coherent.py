@@ -21,6 +21,7 @@ from llgs.coherent import (
     potential,
     slaved_fast_variables,
     small_amplitude_bifurcation,
+    stationary_equilibria,
     stationary_first_integral,
     stationary_homoclinic,
     stationary_portrait,
@@ -28,7 +29,7 @@ from llgs.coherent import (
     NoLocalBifurcation,
     SpeedTooLow,
 )
-from llgs.errors import PoleSingularityError
+from llgs.errors import ConfigError, ConvergenceError, PoleSingularityError
 
 
 def test_q_selected():
@@ -267,6 +268,30 @@ def test_homoclinic_absent_when_no_saddle():
     assert stationary_homoclinic(params, Omega=0.0, C=0.4) is None
 
 
+def test_homoclinic_off_resonance_is_config_error():
+    # cohex at Omega = 0.5 != beta/alpha = 1: the pendulum reduction does not hold
+    with pytest.raises(ConfigError, match="beta/alpha"):
+        stationary_homoclinic(ModelParams(1.0, 1.0, 7.0, 0.0), Omega=0.5, C=1.0)
+
+
+# mu = 0, h = Omega = beta/alpha = 0 and C = 0: the pendulum force is identically zero
+VANISHING_FORCE = ModelParams(1.0, 0.0, 0.0, 0.0)
+
+
+def test_equilibria_empty_when_force_vanishes():
+    assert stationary_equilibria(VANISHING_FORCE, Omega=0.0, C=0.0) == []
+
+
+def test_portrait_note_when_force_vanishes():
+    portrait = stationary_portrait(VANISHING_FORCE, Omega=0.0, C=0.0)
+    assert portrait.equilibria == [] and portrait.connections == []
+    assert portrait.note == "force vanishes identically: every theta is an equilibrium"
+
+
+def test_homoclinic_none_when_force_vanishes():
+    assert stationary_homoclinic(VANISHING_FORCE, Omega=0.0, C=0.0) is None
+
+
 def test_monotone_drift_off_resonance():
     params = ModelParams(1.0, 0.5, 1.0, 0.0)
     report = monotone_drift_check(params, Omega=0.7)
@@ -313,6 +338,26 @@ def test_slaved_fast_variables_residual():
     pt, q = slaved_fast_variables(params, ansatz, 0.8)
     rhs = dode_rhs([0.8, pt, q], params, ansatz)
     assert abs(rhs[1]) < 1e-9 and abs(rhs[2]) < 1e-9
+
+
+def test_slaved_fast_variables_array_matches_scalar():
+    params = ModelParams(1.3, 0.4, 1.1, -0.2)
+    ansatz = CoherentAnsatz(30.0, 2.0)
+    thetas = np.linspace(0.0, math.pi, 7)
+    pts, qs = slaved_fast_variables(params, ansatz, thetas)
+    for theta, pt, q in zip(thetas, pts, qs):
+        # the array solve may take one more, rounding-sized Newton step than a scalar one
+        pt1, q1 = slaved_fast_variables(params, ansatz, theta)
+        assert abs(pt - pt1) <= 1e-15 and abs(q - q1) <= 1e-15
+        rhs = dode_rhs([theta, pt, q], params, ansatz)
+        assert abs(rhs[1]) < 1e-9 and abs(rhs[2]) < 1e-9
+
+
+def test_slaved_fast_variables_small_s_breaks_down():
+    # s = 1 at the pole: the first Newton step lands on s - 2 q cos(theta) = 0
+    ansatz = CoherentAnsatz(1.0, 0.0)
+    with pytest.raises(ConvergenceError, match="slow manifold breaks down"):
+        slaved_fast_variables(ModelParams(1.0, 0.0, 1.0, 0.0), ansatz, 0.0)
 
 
 def test_fast_heteroclinic_pair():

@@ -36,16 +36,21 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
                "--h", "0", "--omega-freq", "0.7"], ".json"),
     ("spectrum-e3", ["spectrum", "--alpha", "1", "--beta", "0", "--mu", "-1", "--h", "2",
                      "--k", "0", "--n-samples", "2001"], ".csv"),
+    ("portrait-force-zero", ["coherent", "--mode", "portrait", "--alpha", "1", "--mu", "0",
+                             "--h", "0"], ".json"),
     # exit 2: a bad setting
     ("sideband-on-e3", ["simulate", "--preset", "equilibrium", "--perturbation", "sideband",
                         "--ell", "1", "--amplitude", "0.1"], None),
     ("alpha-negative", ["classify", "--alpha", "-1"], None),
     ("preset-unknown", ["classify", "--preset", "nope"], None),
+    ("homoclinic-off-resonance", ["coherent", "--preset", "cohex", "--omega-freq", "0.5"], ".csv"),
     # exit 3: a numerical failure
     ("speed-too-low", ["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1",
                        "--h", "0.5", "--s", "0.01"], None),
     ("cfl", ["simulate", "--alpha", "1", "--mu", "1", "--integrator", "rk4", "--n", "512",
              "--dt", "0.01", "--t-final", "1"], None),
+    ("fast-front-s1", ["coherent", "--preset", "fast-front", "--s", "1"], None),
+    ("fast-front-s0.5", ["coherent", "--preset", "fast-front", "--s", "0.5"], ".csv"),
 ]
 
 
