@@ -22,7 +22,8 @@ import numpy as np
 from . import coherent
 from . import spectrum as spec
 from .errors import ConfigError, ConvergenceError, LLGSError
-from .model import Grid1D, MagnetizationField, ModelParams, classify_anisotropy, to_spherical
+from .model import (Grid1D, MagnetizationField, ModelParams, classify_anisotropy,
+                    local_wavenumber, to_spherical)
 from .simulate import (_STEPPERS, PerturbationSpec, SimConfig, _perturb,
                        build_wavetrain_initial, simulate)
 from .wavetrains import e3_eigenvalues, e3_stability, wavetrain_at
@@ -222,7 +223,7 @@ def cmd_spectrum(args, cp):
     header = ("ell", "re_lambda_1", "im_lambda_1", "re_lambda_2", "im_lambda_2",
               "residual_1", "residual_2")
     if wt is None or wt.r == 0.0:
-        sign = 1 if (params.force_balance / (params.mu - k * k) if params.mu != k * k else 1) >= 0 else -1
+        sign = 1 if params.force_balance * (params.mu - k * k) >= 0 else -1
         print(
             f"no wavetrain with r > 0 at k = {k}; emitting the {'+' if sign > 0 else '-'}e3 "
             "constant-state spectrum instead",
@@ -287,8 +288,9 @@ def cmd_coherent(args, cp):
     if mode == "homoclinic":
         result = coherent.stationary_homoclinic(params, Omega, C)
         if result is None:
-            write_record(args.out, {"mode": "homoclinic", "found": False,
-                                    "note": "no saddle: all profiles periodic"})
+            note = (coherent.FORCE_VANISHES_NOTE if coherent._force_vanishes(params, Omega, C)
+                    else "no saddle: all profiles periodic")
+            write_record(args.out, {"mode": "homoclinic", "found": False, "note": note})
             return 0
         record = {
             "mode": "homoclinic",
@@ -384,7 +386,7 @@ def cmd_simulate(args, cp):
         sph = to_spherical(final)
         frows = [
             (float(x), float(m[0]), float(m[1]), float(m[2]), float(th), float(q))
-            for x, m, th, q in zip(grid.x, final.values, sph.theta, np.gradient(sph.phi, grid.dx))
+            for x, m, th, q in zip(grid.x, final.values, sph.theta, local_wavenumber(sph))
         ]
         write_rows(_out_path(args.out, "_final"), ("x", "m1", "m2", "m3", "theta", "q"), frows,
                    args.format)

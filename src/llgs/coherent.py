@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (ConfigError, ConvergenceError, NoLocalBifurcation, PoleSingularityError,
@@ -101,8 +101,9 @@ class CoherentProfile:
     meta: dict = field(default_factory=dict)
 
     def phi(self) -> np.ndarray:
-        """Azimuth phi(xi) = integral of q, zero at the left end."""
-        return np.concatenate([[0.0], cumulative_trapezoid(self.q, self.xi)])
+        """Azimuth phi(xi) = integral of q by the trapezoid rule, zero at the left end."""
+        q = self.q
+        return np.concatenate([[0.0], np.cumsum(np.diff(self.xi) * (q[1:] + q[:-1]) / 2.0)])
 
     def magnetization(self) -> np.ndarray:
         """(n, 3) magnetization samples of the profile at t = 0."""
@@ -196,6 +197,9 @@ def _off_resonance(params, Omega):  # the pendulum reduction needs Omega = beta/
     return abs(Omega - params.beta / params.alpha) > 1e-12
 
 
+FORCE_VANISHES_NOTE = "force vanishes identically: every theta is an equilibrium"
+
+
 def _force_vanishes(params, Omega, C):  # the force is then identically zero
     return C == 0.0 and params.mu == 0.0 and params.h == Omega
 
@@ -245,8 +249,7 @@ def stationary_portrait(params: ModelParams, Omega: float, C: float) -> Stationa
     if _off_resonance(params, Omega):
         return StationaryPortrait([], [], "no equilibria: Omega != beta/alpha")
     if _force_vanishes(params, Omega, C):
-        return StationaryPortrait([], [],
-                                  "force vanishes identically: every theta is an equilibrium")
+        return StationaryPortrait([], [], FORCE_VANISHES_NOTE)
     eqs = stationary_equilibria(params, Omega, C)
     ring = [(e.theta, e.kind, e.level) for e in eqs]
     if C == 0.0:

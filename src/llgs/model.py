@@ -246,9 +246,9 @@ def from_spherical(sph: SphericalField) -> MagnetizationField:
     return MagnetizationField(sph.grid, _unit_vectors(sph.theta, sph.phi), sph.time)
 
 
-def local_wavenumber(sph: SphericalField, method: str = "fd") -> np.ndarray:
-    """q(x) = d phi/dx from the unwrapped azimuth."""
-    return first_derivative(sph.phi, sph.grid, method)
+def local_wavenumber(sph: SphericalField) -> np.ndarray:
+    """q(x) = d phi/dx; the unwrapped azimuth is not periodic, so both ends are one-sided."""
+    return np.gradient(sph.phi, sph.grid.dx)
 
 
 def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -163,14 +163,13 @@ def _sideband_prime(params: ModelParams, K: float) -> float:
 
 
 def curvature_factor(params: ModelParams, k: float) -> float:
-    """D = (3k^2 + mu) (beta/alpha - h)^2/(k^2 - mu)^2 + k^2 - mu.
+    """D = (3k^2 + mu) (beta/alpha - h)^2/(k^2 - mu)^2 + k^2 - mu = f(k^2)/(k^2 - mu)^2.
 
     The curvature of the spectrum branch through the origin is
-    (1 + alpha^2) * D / (alpha r^2 (mu - k^2)).
+    (1 + alpha^2) * D / (alpha r^2 (mu - k^2)); D has the sign of f.
     """
     K = k * k
-    b2 = params.force_balance ** 2
-    return (3 * K + params.mu) * b2 / (K - params.mu) ** 2 + K - params.mu
+    return sideband_polynomial(params, K) / (K - params.mu) ** 2
 
 
 @dataclass
@@ -185,29 +184,21 @@ def sideband_wavenumber(params: ModelParams) -> SidebandReport:
     """Critical wavenumber k_star of the sideband instability.
 
     Requires the supercritical regime; K_star is the unique root of f in
-    (0, mu), bracketed by f(0) < 0 < f(mu) and found by bisection to a
-    1e-12 bracket with a Newton polish.  Outside the supercritical regime
-    all wavetrains are unstable and no stable band exists.
+    (0, mu).  In x = K - mu, f = x^3 + 3 b^2 x + 4 mu b^2 has one real root,
+    x = w - b^2/w with w = -cbrt(2 mu b^2 + sqrt(4 mu^2 b^4 + b^6)) (Cardano,
+    free of cancellation), polished by one Newton step.  Outside the
+    supercritical regime all wavetrains are unstable and no stable band exists.
     """
-    if classify_anisotropy(params) is not AnisotropyRegime.SUPERCRITICAL or params.mu <= 0:
+    if classify_anisotropy(params) is not AnisotropyRegime.SUPERCRITICAL:  # mu > |b| >= 0
         return SidebandReport(None, None, False, "no stable band outside supercritical regime")
     mu = params.mu
-    if params.force_balance == 0.0:
+    b2 = params.force_balance ** 2
+    if b2 == 0.0:
         # f(K) = (K - mu)^3: the whole band k^2 < mu is sideband-stable
         return SidebandReport(math.sqrt(mu), mu, True, "degenerate balance h = beta/alpha")
-    # The bracket needs no check: with b != 0 and mu > |b|,
-    # f(0) = mu (b^2 - mu^2) < 0 < f(mu) = 4 mu b^2, and
-    # f' = 3 b^2 + 3 (K - mu)^2 > 0, so f is monotone with one root in (0, mu).
-    lo, hi = 0.0, mu
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if sideband_polynomial(params, mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    K = 0.5 * (lo + hi)
-    for _ in range(3):
-        K -= sideband_polynomial(params, K) / _sideband_prime(params, K)
+    w = -float(np.cbrt(2 * mu * b2 + math.sqrt(4 * mu * mu * b2 * b2 + b2 ** 3)))
+    K = mu + w - b2 / w
+    K -= sideband_polynomial(params, K) / _sideband_prime(params, K)
     return SidebandReport(math.sqrt(K), K, True)
 
 

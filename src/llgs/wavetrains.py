@@ -80,35 +80,19 @@ class ExistenceRegion:
 
 
 def admissible_wavenumbers(params: ModelParams) -> ExistenceRegion:
-    """Admissible k-intervals for wavetrain existence, per regime.
+    """Admissible k-intervals for wavetrain existence: |b| <= |mu - k^2|.
 
-    Supercritical: [0, sqrt(mu - |b|)) and (sqrt(mu + |b|), inf).
-    Subcritical: (sqrt(mu + |b|), inf) only.
-    Subsubcritical: all k >= 0 (two theta-branches over the k-axis).
+    With lo^2 = mu - |b| and hi^2 = mu + |b|: [0, sqrt(lo^2)) if lo^2 > 0, and
+    (sqrt(max(hi^2, 0)), inf), which is all k >= 0 when subsubcritical (two
+    theta-branches over the k-axis).  `boundary_k` lists sqrt(lo^2) and
+    sqrt(hi^2) where they are >= 0, each value once.
     """
-    regime = classify_anisotropy(params)
-    mu = params.mu
     b = abs(params.force_balance)
-    if regime is AnisotropyRegime.SUPERCRITICAL:
-        lo, hi = math.sqrt(mu - b), math.sqrt(mu + b)
-        if b == 0.0:
-            # degenerate balance: theta = pi/2 for every k except |k| = sqrt(mu)
-            return ExistenceRegion(regime, ((0.0, lo), (lo, math.inf)), (lo,), 2)
-        return ExistenceRegion(regime, ((0.0, lo), (hi, math.inf)), (lo, hi), 2)
-    if regime is AnisotropyRegime.SUBCRITICAL:
-        hi = math.sqrt(mu + b) if mu + b > 0 else 0.0
-        return ExistenceRegion(regime, ((hi, math.inf),), (hi,), 2)
-    if regime is AnisotropyRegime.SUBSUBCRITICAL:
-        return ExistenceRegion(regime, ((0.0, math.inf),), (), 2)
-    # degenerate boundary: report by direct sampling criterion
-    if mu < 0 or (mu == 0 and b == 0):
-        return ExistenceRegion(regime, ((0.0, math.inf),), (), 2)
-    if mu == b:  # touches r=0 exactly at k=0
-        hi = math.sqrt(2 * mu) if mu > 0 else 0.0
-        return ExistenceRegion(regime, ((hi, math.inf),), (0.0, hi), 2)
-    # mu == -b or mu == 0 with b > 0
-    hi = math.sqrt(mu + b)
-    return ExistenceRegion(regime, ((hi, math.inf),), (hi,), 2)
+    lo2, hi2 = params.mu - b, params.mu + b
+    lower = ((0.0, math.sqrt(lo2)),) if lo2 > 0 else ()
+    upper = ((math.sqrt(max(hi2, 0.0)), math.inf),)
+    boundary = tuple(sorted({math.sqrt(v) for v in (lo2, hi2) if v >= 0}))
+    return ExistenceRegion(classify_anisotropy(params), lower + upper, boundary, 2)
 
 
 def e3_eigenvalues(params: ModelParams, sign: int, ell: float):
@@ -147,21 +131,9 @@ def e3_stability(params: ModelParams) -> EquilibriumStability:
     the unstable one: for h > beta/alpha that is -e3.
     """
     b = params.force_balance
-    hopf = params.beta / params.alpha
-    growth_plus = params.mu - b
-    growth_minus = params.mu + b
-    if growth_plus == 0.0 or growth_minus == 0.0:
-        return EquilibriumStability(
-            plus_stable=None if growth_plus == 0.0 else growth_plus < 0,
-            minus_stable=None if growth_minus == 0.0 else growth_minus < 0,
-            marginal=True,
-            hopf_frequency=hopf,
-        )
-    return EquilibriumStability(
-        plus_stable=growth_plus < 0,
-        minus_stable=growth_minus < 0,
-        hopf_frequency=hopf,
-    )
+    growth = (params.mu - b, params.mu + b)  # +e3, -e3
+    plus, minus = (None if g == 0.0 else g < 0 for g in growth)
+    return EquilibriumStability(plus, minus, 0.0 in growth, params.precession_frequency)
 
 
 def wavetrain_field(wt: Wavetrain, grid: Grid1D) -> MagnetizationField:

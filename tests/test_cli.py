@@ -214,6 +214,27 @@ def test_coherent_portrait_force_vanishes(capsys):
     assert record["note"] == "force vanishes identically: every theta is an equilibrium"
 
 
+def test_coherent_homoclinic_force_vanishes(capsys):
+    code, out, _ = run(["coherent", "--mode", "homoclinic", "--alpha", "1", "--mu", "0",
+                        "--h", "0"], capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert record["found"] is False
+    assert record["note"] == "force vanishes identically: every theta is an equilibrium"
+
+
+@pytest.mark.parametrize(
+    "mu, h, k, state",
+    [("1", "2", "0", "+e3"), ("1", "-2", "0", "-e3"), ("-1", "2", "0", "-e3"),
+     ("1", "0.5", "1", "+e3"), ("1", "-0.5", "1", "+e3")],  # the last two: mu = k^2
+)
+def test_spectrum_e3_fallback_sign(capsys, mu, h, k, state):
+    code, _, err = run(["spectrum", "--alpha", "1", "--mu", mu, "--h", h, "--k", k,
+                        "--n-samples", "3"], capsys)
+    assert code == 0
+    assert f"emitting the {state} constant-state spectrum" in err
+
+
 def test_simulate_equilibrium_flatline(capsys, tmp_path):
     out = tmp_path / "eq.csv"
     code, _, _ = run(["simulate", "--preset", "equilibrium", "--out", str(out),

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from llgs import ModelParams
 from llgs.coherent import (
     CoherentAnsatz,
+    CoherentProfile,
     center_eigenvalue,
     dode_jacobian,
     dode_rhs,
@@ -435,3 +436,13 @@ def test_small_amplitude_matrix_structure():
     assert abs(np.trace(B)) < 1e-14
     q2, a, s = 0.49, 1.0, 2.0
     assert np.linalg.det(B) == pytest.approx(4 * q2 - (1 + a * a) * s * s)
+
+
+def test_profile_phi_is_the_trapezoid_rule():
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 50, 2000):
+        xi = np.cumsum(rng.uniform(0.01, 1.0, n))
+        q = rng.normal(size=n)
+        prof = CoherentProfile(xi, np.zeros(n), np.zeros(n), q, CoherentAnsatz(0.0, 0.0))
+        expected = np.concatenate([[0.0], cumulative_trapezoid(q, xi)])
+        assert np.array_equal(prof.phi(), expected)

@@ -147,6 +147,15 @@ def test_local_wavenumber_of_helix(grid):
     assert np.max(np.abs(q[1:-1] - k)) < 1e-8
 
 
+def test_local_wavenumber_of_helix_at_both_ends(grid):
+    from llgs import SphericalField
+
+    k = 2 * np.pi * 2 / grid.length
+    fld = from_spherical(SphericalField(grid, np.full(grid.n, 1.0), k * grid.x))
+    q = local_wavenumber(to_spherical(fld))
+    assert np.max(np.abs(q - k)) < 1e-8
+
+
 def test_rhs_is_tangent(rng, grid):
     params = random_params(rng)
     for _ in range(20):

@@ -185,3 +185,30 @@ def test_physical_growth_rate_rescaling():
     assert physical_growth_rate(0.4 + 1.0j, params) == pytest.approx(0.2)
     params = ModelParams(alpha=2.0)
     assert physical_growth_rate(1.0 + 0.0j, params) == pytest.approx(0.2)
+
+
+def test_sideband_root_over_many_supercritical_sets():
+    # mu spans twelve decades: an absolute stopping tolerance of 1e-12 can
+    # never be met once the spacing of the floats near K_star exceeds it
+    rng = np.random.default_rng(2026)
+    ratios = np.concatenate([[1e-8, 1.0 - 1e-8], 10.0 ** rng.uniform(-8.0, 0.0, 5000),
+                             rng.uniform(1e-8, 1.0 - 1e-8, 5000)])
+    for ratio in np.minimum(ratios, 1.0 - 1e-8):
+        mu = 10.0 ** rng.uniform(-6.0, 6.0)
+        b = float(ratio) * mu * rng.choice((-1.0, 1.0))
+        params = ModelParams(rng.uniform(0.1, 3.0), 0.0, mu, b)
+        report = sideband_wavenumber(params)
+        assert 0.0 < report.K_star < mu, (mu, b)
+        assert abs(sideband_polynomial(params, report.K_star)) <= 1e-14 * mu ** 3, (mu, b)
+        assert report.k_star == math.sqrt(report.K_star)
+
+
+def test_curvature_factor_is_sideband_polynomial_over_square():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        params = ModelParams(1.0, 0.0, rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0))
+        k = rng.uniform(0.0, 2.0)
+        K, mu, b2 = k * k, params.mu, params.force_balance ** 2
+        D = curvature_factor(params, k)
+        assert D == pytest.approx((3 * K + mu) * b2 / (K - mu) ** 2 + K - mu, rel=1e-12)
+        assert np.sign(D) == np.sign(sideband_polynomial(params, K))

@@ -185,3 +185,42 @@ def test_wavetrain_field_samples():
         wavetrain_at(params, 0.5, lower_branch=True), grid
     )
     assert np.allclose(fld2.values[:, 0], -fld.values[:, 0])
+
+
+@pytest.mark.parametrize(
+    "mu, h, intervals, boundary",
+    [
+        # mu = |b| > 0: r = 0 at k = 0; the lower interval is empty
+        (0.5, 0.5, ((1.0, math.inf),), (0.0, 1.0)),
+        (0.5, -0.5, ((1.0, math.inf),), (0.0, 1.0)),
+        # mu = 0 < |b|
+        (0.0, 1.0, ((1.0, math.inf),), (1.0,)),
+        (0.0, -1.0, ((1.0, math.inf),), (1.0,)),
+        # b = 0 < mu: theta = pi/2 for every k but k^2 = mu
+        (1.0, 0.0, ((0.0, 1.0), (1.0, math.inf)), (1.0,)),
+        # mu = -|b| < 0: r = 0 at k = 0 only
+        (-1.0, 1.0, ((0.0, math.inf),), (0.0,)),
+        (-1.0, -1.0, ((0.0, math.inf),), (0.0,)),
+        # mu = b = 0
+        (0.0, 0.0, ((0.0, math.inf),), (0.0,)),
+    ],
+)
+def test_existence_at_regime_ties(mu, h, intervals, boundary):
+    params = ModelParams(1.0, 0.0, mu, h)
+    region = admissible_wavenumbers(params)
+    assert region.intervals == intervals
+    assert region.boundary_k == boundary
+    assert region.n_theta_branches == 2
+    for k in region.boundary_k:
+        try:
+            wt = wavetrain_at(params, k)
+        except DegenerateFamilyError:
+            continue
+        assert abs(wt.m3) == 1.0
+
+
+def test_e3_both_marginal_at_zero_balance_and_anisotropy():
+    s = e3_stability(ModelParams(1.0, 0.0, 0.0, 0.0))
+    assert s.plus_stable is None and s.minus_stable is None and s.marginal
+    s = e3_stability(ModelParams(1.0, 0.0, -1.0, 1.0))  # mu = -b: -e3 marginal
+    assert s.plus_stable is True and s.minus_stable is None and s.marginal

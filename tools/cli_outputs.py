@@ -38,6 +38,13 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
                      "--k", "0", "--n-samples", "2001"], ".csv"),
     ("portrait-force-zero", ["coherent", "--mode", "portrait", "--alpha", "1", "--mu", "0",
                              "--h", "0"], ".json"),
+    ("homoclinic-force-zero", ["coherent", "--mode", "homoclinic", "--alpha", "1", "--mu", "0",
+                               "--h", "0"], ".json"),
+    ("classify-marginal", ["classify", "--alpha", "1", "--mu", "1", "--h", "1"], ".json"),
+    ("spectrum-e3-plus", ["spectrum", "--alpha", "1", "--mu", "1", "--h", "2", "--k", "0"],
+     ".csv"),
+    ("spectrum-e3-resonant", ["spectrum", "--alpha", "1", "--mu", "1", "--h", "0.5", "--k", "1"],
+     ".csv"),
     # exit 2: a bad setting
     ("sideband-on-e3", ["simulate", "--preset", "equilibrium", "--perturbation", "sideband",
                         "--ell", "1", "--amplitude", "0.1"], None),
