@@ -640,7 +640,7 @@ def small_amplitude_bifurcation(params: ModelParams, s: float, theta0: float) ->
         q=q,
         Omega=Omega,
         det_B=det_B,
-        kernel_ok=kern < 1e-10,
+        kernel_ok=bool(kern < 1e-10),
         branch="supercritical" if q2 < params.mu else "subcritical",
         center_coefficient=coeff,
         center_coefficient_exact=coeff_exact,

@@ -174,6 +174,11 @@ def _row_norm(m: np.ndarray) -> np.ndarray:
     return np.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
 
 
+def _project(m: np.ndarray) -> np.ndarray:
+    """Each row of a (n, 3) array divided by its norm: the projection to the sphere."""
+    return m / _row_norm(m)[:, None]
+
+
 @dataclass
 class MagnetizationField:
     """Discretized sphere-valued field m(x) with a time stamp.
@@ -201,8 +206,7 @@ class MagnetizationField:
             raise ConfigError(f"field is not unit-norm: max drift {drift:.3e}")
 
     def renormalized(self) -> "MagnetizationField":
-        norms = _row_norm(self.values)[:, None]
-        return MagnetizationField(self.grid, self.values / norms, self.time)
+        return MagnetizationField(self.grid, _project(self.values), self.time)
 
 
 @dataclass
@@ -237,9 +241,9 @@ def to_spherical(fld: MagnetizationField) -> SphericalField:
 
 
 def _unit_vectors(theta, phi) -> np.ndarray:
-    """(n, 3) unit vectors at polar angles theta and azimuths phi."""
+    """(..., 3) unit vectors at polar angles theta and azimuths phi of shape (...)."""
     st, ct = np.sin(theta), np.cos(theta)
-    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+    return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
 
 
 def from_spherical(sph: SphericalField) -> MagnetizationField:

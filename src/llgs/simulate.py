@@ -21,7 +21,7 @@ from .model import (
     MagnetizationField,
     ModelParams,
     _ll_rhs,
-    _row_norm,
+    _project,
     _unit_vectors,
     energy,
     second_derivative,
@@ -95,13 +95,11 @@ class Diagnostics:
 
 @dataclass
 class Trajectory:
+    """Snapshots: values[j], one (n, 3) field of a (len(times), n, 3) array, at times[j]."""
+
     grid: Grid1D
     times: np.ndarray
-    values: list  # list of (n, 3) snapshots
-
-
-def _project(m: np.ndarray) -> np.ndarray:
-    return m / _row_norm(m)[:, None]
+    values: np.ndarray
 
 
 def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
@@ -153,34 +151,29 @@ class SimResult:
 
 
 def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig) -> SimResult:
-    """Advance the field to t_final, recording diagnostics and snapshots."""
+    """Advance the field to t_final, recording diagnostics and snapshots.
+
+    Both are taken at the start, every diag_every (store_every) steps and at
+    the end, so store_every = sys.maxsize keeps only the first and last states.
+    """
     grid = initial.grid
     step_fn = config.validate(grid, params)
     m = initial.values.copy()
     n_steps = int(round(config.t_final / config.dt))
 
     times, drifts, energies, phis = [], [], [], []
-    snap_t, snaps = [initial.time], [m.copy()]
-    phi_prev = math.atan2(m[0, 1], m[0, 0])
-    phi_acc = phi_prev
+    snap_t, snaps = [initial.time], [m]
 
     def record(t, m):
-        nonlocal phi_prev, phi_acc
-        fld = MagnetizationField(grid, m, t)
-        drift = fld.norm_drift()
         if not np.isfinite(m).all():
             raise BlowupError(
                 f"NaN at t = {t:.4g}: finite-time blow-up or under-resolution"
             )
-        phi_now = math.atan2(m[0, 1], m[0, 0])
-        dphi = phi_now - phi_prev
-        dphi -= 2 * math.pi * round(dphi / (2 * math.pi))
-        phi_acc += dphi
-        phi_prev = phi_now
+        fld = MagnetizationField(grid, m, t)
         times.append(t)
-        drifts.append(drift)
+        drifts.append(fld.norm_drift())
         energies.append(energy(fld, params))
-        phis.append(phi_acc)
+        phis.append(math.atan2(m[0, 1], m[0, 0]))
 
     record(initial.time, m)
     t = initial.time
@@ -193,10 +186,15 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
             record(t, m)
         if step % config.store_every == 0 or step == n_steps:
             snap_t.append(t)
-            snaps.append(m.copy())
+            snaps.append(m)
 
-    diag = Diagnostics(np.array(times), np.array(drifts), np.array(energies), np.array(phis))
-    traj = Trajectory(grid, np.array(snap_t), snaps)
+    # jumps between records folded into [-pi, pi] and summed in record order;
+    # np.unwrap sums them in another order and moves phi0 by ~1e-13
+    dphi = np.diff(phis)
+    dphi -= 2 * np.pi * np.round(dphi / (2 * np.pi))
+    phi0 = np.cumsum(np.concatenate([phis[:1], dphi]))
+    diag = Diagnostics(np.array(times), np.array(drifts), np.array(energies), phi0)
+    traj = Trajectory(grid, np.array(snap_t), np.array(snaps))
     return SimResult(traj, diag, MagnetizationField(grid, m, t))
 
 
@@ -232,7 +230,8 @@ def build_wavetrain_initial(
     check_commensurate(perturbation.ell, grid)
     x = grid.x
     a = perturbation.amplitude
-    theta = np.full(grid.n, wt.theta) + a * np.cos(perturbation.ell * x)
+    theta0 = -wt.theta if wt.lower_branch else wt.theta
+    theta = np.full(grid.n, theta0) + a * np.cos(perturbation.ell * x)
     phi = wt.k * x + a * np.sin(perturbation.ell * x)
     return MagnetizationField(grid, _unit_vectors(theta, phi))
 
@@ -269,13 +268,11 @@ def mode_amplitudes(traj: Trajectory, ell: float, carrier_k: float) -> np.ndarra
     i_car = int(round(carrier_k / dk))
     i_ell = int(round(ell / dk))
     n = grid.n
-    out = np.empty(len(traj.values))
-    for j, m in enumerate(traj.values):
-        u_hat = np.fft.fft(m[:, 0] + 1j * m[:, 1]) / n
-        lo = u_hat[(i_car - i_ell) % n]
-        hi = u_hat[(i_car + i_ell) % n]
-        out[j] = math.hypot(abs(lo), abs(hi))
-    return out
+    m = np.asarray(traj.values)
+    u_hat = np.fft.fft(m[..., 0] + 1j * m[..., 1], axis=1) / n
+    lo = np.abs(u_hat[:, (i_car - i_ell) % n])
+    hi = np.abs(u_hat[:, (i_car + i_ell) % n])
+    return np.hypot(lo, hi)
 
 
 @dataclass
@@ -330,25 +327,6 @@ class ProfileVerification:
     onset_time: float | None  # first time defect exceeded the threshold
 
 
-def _profile_interpolators(profile):
-    xi, theta = profile.xi, profile.theta
-    phi = profile.phi()
-    q0, q1 = profile.q[0], profile.q[-1]
-
-    def theta_of(x):
-        return np.interp(x, xi, theta)
-
-    def phi_of(x):
-        out = np.interp(x, xi, phi)
-        left = x < xi[0]
-        right = x > xi[-1]
-        out[left] = phi[0] + q0 * (x[left] - xi[0])
-        out[right] = phi[-1] + q1 * (x[right] - xi[-1])
-        return out
-
-    return theta_of, phi_of
-
-
 def verify_coherent_profile(
     profile,
     params: ModelParams,
@@ -363,31 +341,34 @@ def verify_coherent_profile(
     endpoints show up as a recorded onset time, not a failure.
     """
     ansatz = profile.ansatz
-    length = 2.0 * max(profile.xi[-1] - profile.xi[0], 1.0)
+    xi, theta, phi = profile.xi, profile.theta, profile.phi()
+    q0, q1 = profile.q[0], profile.q[-1]
+
+    def field(x, t):
+        """R(Omega t) m_profile(x - s t); past the profile's ends phi goes on linearly."""
+        xs = x - ansatz.s * t
+        phase = (np.interp(xs, xi, phi) + q0 * np.minimum(xs - xi[0], 0.0)
+                 + q1 * np.maximum(xs - xi[-1], 0.0))
+        return _unit_vectors(np.interp(xs, xi, theta), phase + ansatz.Omega * t)
+
+    length = 2.0 * max(xi[-1] - xi[0], 1.0)
     grid = Grid1D(length, 1 << max(8, int(math.ceil(math.log2(length / 0.05)))))
-    theta_of, phi_of = _profile_interpolators(profile)
-    x0 = profile.xi[0] - 0.25 * grid.length + 0.25 * (profile.xi[-1] - profile.xi[0])
+    x0 = xi[0] - 0.25 * grid.length + 0.25 * (xi[-1] - xi[0])
     x = grid.x + x0
-    initial = MagnetizationField(grid, _unit_vectors(theta_of(x), phi_of(x)))
+    initial = MagnetizationField(grid, field(x, 0.0))
 
     if dt is None:
         dt = cfl_limit(grid, params)
     config = SimConfig(dt=dt, t_final=window, integrator="rk4",
                        store_every=max(1, int(round(window / dt / 40))))
-    result = simulate(initial, params, config)
+    traj = simulate(initial, params, config).trajectory
 
-    lo = int(grid.n * (0.5 - DEFECT_INTERIOR / 2))
-    hi = int(grid.n * (0.5 + DEFECT_INTERIOR / 2))
-    defects = []
-    for t, m in zip(result.trajectory.times, result.trajectory.values):
-        xs = x - ansatz.s * t
-        ref = _unit_vectors(theta_of(xs), phi_of(xs) + ansatz.Omega * t)
-        defects.append(float(np.max(np.abs(m - ref)[lo:hi])))
-    defects = np.array(defects)
-    t_arr = result.trajectory.times
-    onset = None
+    interior = slice(int(grid.n * (0.5 - DEFECT_INTERIOR / 2)),
+                     int(grid.n * (0.5 + DEFECT_INTERIOR / 2)))
+    t = traj.times
+    ref = field(x[interior], t[:, None])
+    defects = np.max(np.abs(traj.values[:, interior] - ref), axis=(1, 2))
     above = np.flatnonzero(defects > DEFECT_THRESHOLD)
-    if above.size:
-        onset = float(t_arr[above[0]])
-    drift = float(np.polyfit(t_arr, defects, 1)[0]) if len(t_arr) > 1 else 0.0
-    return ProfileVerification(t_arr, defects, float(defects.max()), drift, onset)
+    onset = float(t[above[0]]) if above.size else None
+    drift = float(np.polyfit(t, defects, 1)[0]) if len(t) > 1 else 0.0
+    return ProfileVerification(t, defects, float(defects.max()), drift, onset)

@@ -53,13 +53,14 @@ def wavetrain_at(params: ModelParams, k: float, lower_branch: bool = False):
                 "mu = k^2 with h = beta/alpha: one-parameter family, theta unspecified"
             )
         return None
-    c = b / denom
-    if abs(c) > 1.0:
+    # mu - k^2 is rounded, by up to about 2 eps * max(|mu|, k^2): an excess of
+    # |b| over |mu - k^2| within that is the existence boundary |cos theta| = 1
+    if abs(b) - abs(denom) > 4 * math.ulp(1.0) * max(abs(params.mu), k * k):
         return None
     return Wavetrain(
         k=k,
         omega=-params.beta / params.alpha,
-        theta=math.acos(c),
+        theta=math.acos(min(max(b / denom, -1.0), 1.0)),
         lower_branch=lower_branch,
     )
 
@@ -76,7 +77,7 @@ class ExistenceRegion:
     regime: AnisotropyRegime
     intervals: tuple
     boundary_k: tuple
-    n_theta_branches: int = 1
+    n_theta_branches: int = 2
 
 
 def admissible_wavenumbers(params: ModelParams) -> ExistenceRegion:
@@ -92,7 +93,7 @@ def admissible_wavenumbers(params: ModelParams) -> ExistenceRegion:
     lower = ((0.0, math.sqrt(lo2)),) if lo2 > 0 else ()
     upper = ((math.sqrt(max(hi2, 0.0)), math.inf),)
     boundary = tuple(sorted({math.sqrt(v) for v in (lo2, hi2) if v >= 0}))
-    return ExistenceRegion(classify_anisotropy(params), lower + upper, boundary, 2)
+    return ExistenceRegion(classify_anisotropy(params), lower + upper, boundary)
 
 
 def e3_eigenvalues(params: ModelParams, sign: int, ell: float):

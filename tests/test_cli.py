@@ -375,3 +375,13 @@ def test_json_format_output(capsys):
     rows = json.loads(out)
     assert isinstance(rows, list) and rows
     assert set(rows[0]) == {"k", "theta", "m3", "r", "omega", "stability_class", "k_star"}
+
+
+def test_store_every_is_no_option(capsys, tmp_path):
+    # simulate writes no snapshots, so how often it stores them is no setting
+    cfg = _equilibrium_config(tmp_path, "t_final = 10.0", "t_final = 10.0\nstore_every = 5")
+    code, out, err = run(["simulate", "--config", cfg], capsys)
+    assert code == 2 and "store_every" in err and out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--alpha", "1", "--store-every", "5"])
+    assert exc.value.code == 2

@@ -215,3 +215,11 @@ def test_verify_wavetrain_as_coherent_profile():
     report = verify_coherent_profile(profile, PARAMS, window=1.0, dt=5e-4)
     assert report.max_defect < 1e-3
     assert report.onset_time is None
+
+
+@pytest.mark.parametrize("lower_branch", [False, True])
+def test_sideband_initial_of_zero_amplitude_is_the_wavetrain(lower_branch):
+    grid = Grid1D(20 * np.pi, 256)
+    wt = wavetrain_at(PARAMS, 0.6, lower_branch=lower_branch)
+    fld = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", ell=0.4, amplitude=0.0))
+    assert np.max(np.abs(fld.values - wavetrain_field(wt, grid).values)) < 1e-15

@@ -224,3 +224,20 @@ def test_e3_both_marginal_at_zero_balance_and_anisotropy():
     assert s.plus_stable is None and s.minus_stable is None and s.marginal
     s = e3_stability(ModelParams(1.0, 0.0, -1.0, 1.0))  # mu = -b: -e3 marginal
     assert s.plus_stable is True and s.minus_stable is None and s.marginal
+
+
+def test_wavetrain_exists_at_every_boundary_k():
+    # mu - k^2 rounds so that |b| exceeds it by an ulp at about 17% of these
+    # boundaries; the wavetrain there solves cos(theta)(mu - k^2) = b to rounding
+    reproducer = ModelParams(1.0, 0.0, 0.5912229932353066, 0.7377232722869058)
+    assert admissible_wavenumbers(reproducer).boundary_k == (1.1527993171069335,)
+    assert wavetrain_at(reproducer, 1.1527993171069335 * (1 - 1e-12)) is None
+    rng = np.random.default_rng(8)
+    sets = [reproducer] + [ModelParams(1.0, 0.0, mu, h)
+                           for mu, h in rng.uniform(-2.0, 2.0, (10000, 2))]
+    for params in sets:
+        for k in admissible_wavenumbers(params).boundary_k:
+            wt = wavetrain_at(params, k)
+            assert wt is not None, (params, k)
+            residual = wt.m3 * (params.mu - k * k) - params.force_balance
+            assert abs(residual) <= 1e-14 * max(abs(params.mu), k * k), (params, k)

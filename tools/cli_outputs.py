@@ -9,8 +9,9 @@ compare with `diff -r OUT_a OUT_b`: an empty diff means every output file,
 message and exit code is byte-identical.
 
 The list is the benchmark's cli-sweep (`SWEEP` in perfbench/workloads.py,
-read, never edited), a few longer runs, and runs that must fail with exit 2
-(a bad setting) or exit 3 (a numerical failure).
+read, never edited), four of its runs again with --format json, a few longer
+runs, and runs that must fail with exit 2 (a bad setting) or exit 3 (a
+numerical failure).
 """
 
 from __future__ import annotations
@@ -29,8 +30,14 @@ MODEL = ["--alpha", "1", "--beta", "0", "--mu", "1", "--h", "0.5"]
 
 # (name, argv, extension of --out, or None to write to stdout)
 RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
+    (name + "-json", argv + ["--format", "json"], ".json") for name, argv, _ in SWEEP
+    if name in ("spectrum", "equilibrium", "cohex", "wavetrains-a")
+] + [
     ("hopf", ["simulate", "--preset", "hopf", "--seed", "1"], ".csv"),
     ("sideband", ["simulate", "--preset", "sideband", "--t-final", "2"], ".csv"),
+    ("wavetrain-noise", ["simulate", "--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1",
+                         "--k", "1", "--perturbation", "noise", "--amplitude", "1e-3",
+                         "--seed", "2", "--t-final", "1"], ".csv"),
     ("small-amplitude", ["coherent", "--mode", "small-amplitude", *MODEL, "--s", "5"], ".json"),
     ("drift", ["coherent", "--mode", "drift", "--alpha", "1", "--beta", "0.5", "--mu", "1",
                "--h", "0", "--omega-freq", "0.7"], ".json"),

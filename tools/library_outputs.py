@@ -1,0 +1,114 @@
+"""Compute a fixed set of library results and keep them as arrays.
+
+    python3 tools/library_outputs.py SRC OUT.npz
+    python3 tools/library_outputs.py --compare A.npz B.npz
+
+The first form imports llgs from the source tree SRC and saves the results of
+`simulate` (diagnostics, snapshots, final field), `mode_amplitudes` on the
+sideband problem and `verify_coherent_profile` on a wavetrain, the cohex
+homoclinic profile and a lifted fast front.  The second form prints, for
+each array, "equal" when both files hold the same values (np.array_equal,
+NaN equal to NaN) and otherwise the largest absolute difference; it exits 1
+when any array differs or is missing from one file.
+
+One run takes about 5 s and peaks near 200 MB of memory.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+import numpy as np
+
+
+def _run(prefix, result, out):
+    diag, traj = result.diagnostics, result.trajectory
+    out[prefix + "diag_times"] = diag.times
+    out[prefix + "norm_drift"] = diag.norm_drift
+    out[prefix + "energy"] = diag.energy
+    out[prefix + "phi0"] = diag.phi0
+    out[prefix + "snap_times"] = traj.times
+    out[prefix + "snapshots"] = np.asarray(traj.values)
+    out[prefix + "final"] = result.final.values
+
+
+def _verification(prefix, report, out):
+    out[prefix + "times"] = report.times
+    out[prefix + "defect"] = report.defect
+    out[prefix + "max_defect"] = report.max_defect
+    out[prefix + "drift_rate"] = report.drift_rate
+    out[prefix + "onset_time"] = math.nan if report.onset_time is None else report.onset_time
+
+
+def compute() -> dict:
+    from llgs import coherent
+    from llgs.model import Grid1D, MagnetizationField, ModelParams
+    from llgs.simulate import (PerturbationSpec, SimConfig, _perturb, build_wavetrain_initial,
+                               mode_amplitudes, simulate, verify_coherent_profile)
+    from llgs.wavetrains import wavetrain_at
+
+    out = {}
+    # the hopf preset's run, long enough for phi0 to wrap several times
+    params = ModelParams(1.0, 0.5, 1.0, 1.0)
+    grid = Grid1D(2 * math.pi, 64)
+    values = np.zeros((grid.n, 3))
+    values[:, 2] = 1.0
+    initial = _perturb(MagnetizationField(grid, values),
+                       PerturbationSpec("noise", amplitude=1e-3, seed=7))
+    _run("hopf.", simulate(initial, params, SimConfig(dt=0.005, t_final=40.0)), out)
+
+    # the sideband preset's problem, cut short
+    grid = Grid1D(20 * math.pi, 1024)
+    wt = wavetrain_at(params, 0.6)
+    initial = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", 0.4, 1e-4))
+    result = simulate(initial, params, SimConfig(dt=0.0015, t_final=3.0, integrator="rk4",
+                                                 diag_every=100, store_every=100))
+    _run("sideband.", result, out)
+    out["sideband.mode_amplitudes"] = mode_amplitudes(result.trajectory, 0.4, 0.6)
+
+    # a wavetrain as the trivial coherent structure s = 0, Omega = beta/alpha
+    xi = np.linspace(-20.0, 20.0, 801)
+    wt = wavetrain_at(params, 0.5)
+    profile = coherent.CoherentProfile(
+        xi=xi, theta=np.full_like(xi, wt.theta), p=np.zeros_like(xi),
+        q=np.full_like(xi, wt.k), ansatz=coherent.CoherentAnsatz(0.0, 0.5))
+    _verification("verify-wavetrain.",
+                  verify_coherent_profile(profile, params, window=1.0, dt=5e-4), out)
+
+    params = ModelParams(1.0, 1.0, 7.0, 0.0)  # the cohex preset
+    profile = coherent.stationary_homoclinic(params, 1.0, 1.0).profiles[0]
+    _verification("verify-cohex.", verify_coherent_profile(profile, params, window=0.5), out)
+
+    params = ModelParams(1.0, 0.0, 1.0, 0.0)  # the fast-front preset
+    front = coherent.fast_heteroclinic(params, 0.0, 0.0, 50.0).fronts[0]
+    _verification("verify-fast.", verify_coherent_profile(coherent.lift_to_ode(front.profile),
+                                                          params, window=0.01), out)
+    return out
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = np.load(path_a), np.load(path_b)
+    status = 0
+    for name in sorted(set(a.files) | set(b.files)):
+        if name not in a.files or name not in b.files:
+            print(f"{name}: only in {path_a if name in a.files else path_b}")
+            status = 1
+        elif a[name].shape != b[name].shape:
+            print(f"{name}: shape {a[name].shape} != {b[name].shape}")
+            status = 1
+        elif np.array_equal(a[name], b[name], equal_nan=True):
+            print(f"{name}: equal")
+        else:
+            print(f"{name}: max |difference| {np.nanmax(np.abs(a[name] - b[name])):.3e}")
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.path.insert(0, sys.argv[1])
+    np.savez(sys.argv[2], **compute())
