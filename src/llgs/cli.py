@@ -224,7 +224,7 @@ def cmd_spectrum(args, cp):
             file=sys.stderr,
         )
         ell = np.linspace(0.0, ell_max, n_samples)
-        lam1, lam2 = np.array([e3_eigenvalues(params, sign, v) for v in ell.tolist()]).T
+        lam1, lam2 = e3_eigenvalues(params, sign, ell)
         r1 = r2 = np.zeros(n_samples)
     else:
         b1, b2 = spec.spectrum_curves(wt, params, ell_max, n_samples, c_ph)
@@ -256,13 +256,7 @@ def cmd_coherent(args, cp):
 
     if mode == "portrait":
         portrait = coherent.stationary_portrait(params, Omega, C)
-        record = {
-            "mode": "portrait",
-            "equilibria": [dataclasses.asdict(e) for e in portrait.equilibria],
-            "connections": [dataclasses.asdict(c) for c in portrait.connections],
-            "note": portrait.note,
-        }
-        write_record(args.out, record)
+        write_record(args.out, {"mode": "portrait", **dataclasses.asdict(portrait)})
         return 0
 
     if mode == "homoclinic":

@@ -135,6 +135,27 @@ def stationary_first_integral(theta0: float, q0: float) -> float:
     return st * st * q0
 
 
+def _pendulum(theta, C, params, Omega):
+    """(P, P', -P'') of `potential` at theta, a float or an array, without its
+    pole barriers; the force slope -P'' is > 0 at a saddle, < 0 at a center."""
+    # math on a float: the homoclinic ODE passes thousands.  On an array,
+    # np.float_power is libm's pow, as ** is on a float; numpy's ** can differ by an ulp
+    sin, cos, power = ((np.sin, np.cos, np.float_power) if isinstance(theta, np.ndarray)
+                       else (math.sin, math.cos, pow))
+    st, ct = sin(theta), cos(theta)
+    dh = params.h - Omega
+    P = ct * (dh - 0.5 * params.mu * ct)
+    dP = -st * (dh - params.mu * ct)
+    slope = ct * (dh - params.mu * ct) + params.mu * st * st
+    if C != 0.0:
+        cot = ct / st
+        P = P + 0.5 * C * C * cot * cot
+        dP = dP - C * C * ct / power(st, 3)
+        # derivative of C^2 cos/sin^3: (-sin^4 - 3 cos^2 sin^2)/sin^6 = -(1+2cos^2)/sin^4
+        slope = slope - C * C * (1.0 + 2.0 * ct * ct) / power(st, 4)
+    return P, dP, slope
+
+
 def potential(theta: float, C: float, params: ModelParams, Omega: float):
     """Pendulum potential P(theta) and its derivative.
 
@@ -142,32 +163,14 @@ def potential(theta: float, C: float, params: ModelParams, Omega: float):
     that theta'' = -P'(theta) is the reduced stationary equation.  With
     C != 0 the potential has infinite barriers at multiples of pi.
     """
-    st, ct = math.sin(theta), math.cos(theta)
-    dh = params.h - Omega
-    P0 = ct * (dh - 0.5 * params.mu * ct)
-    dP0 = -st * (dh - params.mu * ct)
-    if C == 0.0:
-        return P0, dP0
-    if abs(st) <= SIN_TOL:
+    if C != 0.0 and abs(math.sin(theta)) <= SIN_TOL:
         return math.inf, math.inf
-    cot = ct / st
-    return P0 + 0.5 * C * C * cot * cot, dP0 - C * C * ct / st ** 3
+    return _pendulum(theta, C, params, Omega)[:2]
 
 
 def pendulum_force(theta: float, C: float, params: ModelParams, Omega: float) -> float:
     """theta'' = force(theta); equals -dP/dtheta."""
     return -potential(theta, C, params, Omega)[1]
-
-
-def _force_slope(theta, C, params, Omega):
-    """d(force)/dtheta, analytic: positive at a saddle, negative at a center."""
-    st, ct = math.sin(theta), math.cos(theta)
-    dh = params.h - Omega
-    d = ct * (dh - params.mu * ct) + params.mu * st * st
-    if C != 0.0:
-        # derivative of C^2 cos/sin^3: (-sin^4 - 3 cos^2 sin^2)/sin^6 = -(1+2cos^2)/sin^4
-        d -= C * C * (1.0 + 2.0 * ct * ct) / st ** 4
-    return d
 
 
 @dataclass
@@ -204,30 +207,26 @@ def _force_vanishes(params, Omega, C):  # the force is then identically zero
     return C == 0.0 and params.mu == 0.0 and params.h == Omega
 
 
-def _classify_equilibrium(theta, C, params, Omega):
-    d = _force_slope(theta, C, params, Omega)
-    if abs(d) < 1e-12:
-        return "degenerate"
-    return "saddle" if d > 0 else "center"
+def _equilibrium(theta, C, params, Omega):
+    """The equilibrium at theta, classified by the sign of the force slope."""
+    P, _, slope = _pendulum(theta, C, params, Omega)
+    kind = "degenerate" if abs(slope) < 1e-12 else "saddle" if slope > 0 else "center"
+    return StationaryEquilibrium(theta, kind, P)
 
 
 def stationary_equilibria(params: ModelParams, Omega: float, C: float):
     """Equilibria of the reduced stationary pendulum on (0, pi), plus the
-    poles when C = 0 (domain then the full circle); none if the force is 0."""
+    poles when C = 0 (domain then the full circle); none if the force is 0.
+    brentq polishes each sign change of the force on a 2001-point grid."""
     if _force_vanishes(params, Omega, C):
         return []
     roots = [0.0, math.pi] if C == 0.0 else []
     grid = np.linspace(1e-6, math.pi - 1e-6, 2001)
-    vals = np.array([pendulum_force(t, C, params, Omega) for t in grid])
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(lambda t: pendulum_force(t, C, params, Omega),
-                                grid[i], grid[i + 1]))
-    eqs = [StationaryEquilibrium(t, _classify_equilibrium(t, C, params, Omega),
-                                 potential(t, C, params, Omega)[0]) for t in roots]
-    return sorted(eqs, key=lambda e: e.theta)
+    force = -_pendulum(grid, C, params, Omega)[1]
+    for i in np.flatnonzero((force[:-1] == 0.0) | (force[:-1] * force[1:] < 0.0)):
+        roots.append(grid[i] if force[i] == 0.0 else
+                     brentq(pendulum_force, grid[i], grid[i + 1], args=(C, params, Omega)))
+    return sorted((_equilibrium(t, C, params, Omega) for t in roots), key=lambda e: e.theta)
 
 
 def stationary_portrait(params: ModelParams, Omega: float, C: float) -> StationaryPortrait:
@@ -322,8 +321,8 @@ def stationary_homoclinic(params: ModelParams, Omega: float, C: float) -> Homocl
     eqs = stationary_equilibria(params, Omega, C)
     interior = [e for e in eqs if 0.0 < e.theta < math.pi]
     saddles = [e for e in interior if e.kind == "saddle"]
-    if any(e.kind == "degenerate" for e in interior):
-        e = next(e for e in interior if e.kind == "degenerate")
+    e = next((e for e in interior if e.kind == "degenerate"), None)
+    if e is not None:
         return HomoclinicResult([], e.theta, C / math.sin(e.theta) ** 2, degenerate=True,
                                 note="tangential intersection (sideband-degenerate)")
     if not saddles:
@@ -331,7 +330,7 @@ def stationary_homoclinic(params: ModelParams, Omega: float, C: float) -> Homocl
     # smaller q on q = C/sin^2(theta) means sin(theta) largest
     saddle = max(saddles, key=lambda e: math.sin(e.theta))
     ths = saddle.theta
-    lam = math.sqrt(max(_force_slope(ths, C, params, Omega), 0.0))
+    lam = math.sqrt(max(_pendulum(ths, C, params, Omega)[2], 0.0))
     profiles = []
     for sgn in (1.0, -1.0):
         delta = min(1e-6 / (1.0 + lam), 1e-8)

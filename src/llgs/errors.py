@@ -15,10 +15,6 @@ class SouthPoleError(LLGSError):
         )
 
 
-class DegenerateFamilyError(LLGSError):
-    """mu = k^2 together with h = beta/alpha: theta is unspecified."""
-
-
 class ZeroAmplitudeError(LLGSError):
     """Operation requires a wavetrain with r > 0."""
 
@@ -28,10 +24,6 @@ class PoleSingularityError(LLGSError):
 
     Use the desingularized system instead.
     """
-
-
-class CommensurabilityError(LLGSError):
-    """Wavenumber does not fit the periodic domain (k*L not a multiple of 2*pi)."""
 
 
 class CFLError(LLGSError):
@@ -55,12 +47,21 @@ class NoLocalBifurcation(LLGSError):
 
 
 class ConfigError(LLGSError, ValueError):
-    """A bad argument or run setting: a parameter out of its range, an unknown
-    option or config key, a value that does not parse.
+    """A bad argument or run setting: a parameter out of its range, a
+    wavenumber that leaves theta unspecified or does not fit the domain, an
+    unknown option or config key, a value that does not parse.
 
     The CLI exits with code 2.  It is also a ValueError, so code that
     catches ValueError around an argument check still catches it.
     """
+
+
+class DegenerateFamilyError(ConfigError):
+    """mu = k^2 together with h = beta/alpha: theta is unspecified."""
+
+
+class CommensurabilityError(ConfigError):
+    """Wavenumber does not fit the periodic domain (k*L not a multiple of 2*pi)."""
 
 
 class ConvergenceError(LLGSError, RuntimeError):

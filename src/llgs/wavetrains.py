@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateFamilyError
-from .model import AnisotropyRegime, Grid1D, MagnetizationField, ModelParams, classify_anisotropy
+from .model import (AnisotropyRegime, Grid1D, MagnetizationField, ModelParams, _unit_vectors,
+                    classify_anisotropy)
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class Wavetrain:
 
     @property
     def r(self) -> float:
-        return math.sin(self.theta)
+        """sin(theta), and exactly 0 at theta = pi, where sin rounds to 1.2e-16."""
+        return 0.0 if self.theta == math.pi else math.sin(self.theta)
 
 
 def wavetrain_at(params: ModelParams, k: float, lower_branch: bool = False):
@@ -53,16 +55,14 @@ def wavetrain_at(params: ModelParams, k: float, lower_branch: bool = False):
                 "mu = k^2 with h = beta/alpha: one-parameter family, theta unspecified"
             )
         return None
-    # mu - k^2 is rounded, by up to about 2 eps * max(|mu|, k^2): an excess of
-    # |b| over |mu - k^2| within that is the existence boundary |cos theta| = 1
-    if abs(b) - abs(denom) > 4 * math.ulp(1.0) * max(abs(params.mu), k * k):
+    # mu - k^2 is rounded, by up to about 2 eps * max(|mu|, k^2): |b| within
+    # that of |mu - k^2| is the existence boundary |cos theta| = 1, and more is none
+    excess, tol = abs(b) - abs(denom), 4 * math.ulp(1.0) * max(abs(params.mu), k * k)
+    if excess > tol:
         return None
-    return Wavetrain(
-        k=k,
-        omega=-params.beta / params.alpha,
-        theta=math.acos(min(max(b / denom, -1.0), 1.0)),
-        lower_branch=lower_branch,
-    )
+    cos = math.copysign(1.0, b / denom) if b != 0.0 and excess >= -tol else b / denom
+    return Wavetrain(k=k, omega=-params.beta / params.alpha, theta=math.acos(cos),
+                     lower_branch=lower_branch)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,9 @@ def admissible_wavenumbers(params: ModelParams) -> ExistenceRegion:
     return ExistenceRegion(classify_anisotropy(params), lower + upper, boundary)
 
 
-def e3_eigenvalues(params: ModelParams, sign: int, ell: float):
-    """Both linearization eigenvalues of the equilibrium sign*e3 at Fourier mode ell.
+def e3_eigenvalues(params: ModelParams, sign: int, ell):
+    """Both linearization eigenvalues of the equilibrium sign*e3 at Fourier
+    mode ell, a float or an array: a (2,) + shape(ell) complex array.
 
     (1 + alpha^2) Re(lambda) = alpha*(mu -+ (h - beta/alpha) - ell^2) and
     Im(lambda) = sigma*(-+ Re(lambda) + beta/alpha), sigma = +-1; the upper
@@ -107,11 +108,10 @@ def e3_eigenvalues(params: ModelParams, sign: int, ell: float):
         raise ConfigError("sign must be +1 or -1")
     a = params.alpha
     re = a * (params.mu - sign * params.force_balance - ell * ell) / (1.0 + a * a)
-    lam = []
-    for sigma in (1, -1):
-        im = sigma * (-sign * re + params.beta / params.alpha)
-        lam.append(complex(re, im))
-    return tuple(lam)
+    im = -sign * re + params.beta / params.alpha
+    lam = np.empty((2,) + np.shape(ell), complex)
+    lam.real, lam.imag = re, (im, -im)  # not re + 1j*im, which turns an im of -0 into 0
+    return lam
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,5 @@ def e3_stability(params: ModelParams) -> EquilibriumStability:
 
 def wavetrain_field(wt: Wavetrain, grid: Grid1D) -> MagnetizationField:
     """Sample the wavetrain as a magnetization field at t = 0."""
-    ang = wt.k * grid.x
-    r = wt.r if not wt.lower_branch else -wt.r
-    values = np.column_stack(
-        [r * np.cos(ang), r * np.sin(ang), np.full(grid.n, wt.m3)]
-    )
-    return MagnetizationField(grid, values)
+    theta = -wt.theta if wt.lower_branch else wt.theta
+    return MagnetizationField(grid, _unit_vectors(np.full(grid.n, theta), wt.k * grid.x))

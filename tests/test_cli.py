@@ -226,7 +226,8 @@ def test_coherent_homoclinic_force_vanishes(capsys):
 @pytest.mark.parametrize(
     "mu, h, k, state",
     [("1", "2", "0", "+e3"), ("1", "-2", "0", "-e3"), ("-1", "2", "0", "-e3"),
-     ("1", "0.5", "1", "+e3"), ("1", "-0.5", "1", "+e3")],  # the last two: mu = k^2
+     ("1", "0.5", "1", "+e3"), ("1", "-0.5", "1", "+e3"),  # these two: mu = k^2
+     ("1", "1", "1.4142135623730951", "-e3")],  # the wavetrain at this boundary k is -e3
 )
 def test_spectrum_e3_fallback_sign(capsys, mu, h, k, state):
     code, _, err = run(["spectrum", "--alpha", "1", "--mu", mu, "--h", h, "--k", k,
@@ -342,10 +343,16 @@ def test_preset_keys_are_known(command, preset):
           "--n-samples", "-1"], None),
         (["spectrum", "--alpha", "1", "--beta", "0", "--mu", "-1", "--h", "2", "--k", "0",
           "--n-samples", "1"], None),
+        (["simulate", "--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1", "--k", "0.3",
+          "--t-final", "0.1"], None),
+        (["simulate", "--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1", "--k", "0",
+          "--perturbation", "sideband", "--ell", "0.3", "--amplitude", "0.01",
+          "--t-final", "0.1"], None),
+        (["simulate", "--alpha", "1", "--mu", "1", "--k", "1", "--t-final", "0.1"], None),
     ],
     ids=["dt-zero", "dt-negative", "sign-2", "diag-every-zero", "n-2", "L-negative",
          "n-samples-1", "theta0-1", "n-k-negative", "e3-n-samples-negative",
-         "e3-n-samples-1"],
+         "e3-n-samples-1", "k-incommensurate", "ell-incommensurate", "k-degenerate-family"],
 )
 def test_out_of_range_setting_is_config_error(capsys, tmp_path, argv, edit):
     if edit is not None:

@@ -9,6 +9,7 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from llgs import ModelParams
 from llgs.coherent import (
     CoherentAnsatz,
+    _pendulum,
     CoherentProfile,
     center_eigenvalue,
     dode_jacobian,
@@ -18,6 +19,7 @@ from llgs.coherent import (
     lift_to_ode,
     monotone_drift_check,
     ode_rhs,
+    pendulum_force,
     pole_q_first_order,
     potential,
     slaved_fast_variables,
@@ -141,6 +143,23 @@ def test_potential_barrier_with_c():
     params = ModelParams(1.0, 0.0, 1.0, 0.0)
     P, dP = potential(1e-12, 0.5, params, 0.0)
     assert P == math.inf
+
+
+@pytest.mark.parametrize("params, Omega, C", [
+    (ModelParams(1.0, 0.0, 1.0, 0.5), 0.0, 0.0),  # phaseplane-a
+    (ModelParams(1.0, 1.0, 7.0, 0.0), 1.0, 1.0),  # cohex
+    (ModelParams(0.7, -0.3, -2.5, 1.3), -0.3 / 0.7, -0.6),
+])
+def test_pendulum_on_the_scan_grid_equals_the_scalar_calls(params, Omega, C):
+    grid = np.linspace(1e-6, math.pi - 1e-6, 2001)
+    P, dP, slope = _pendulum(grid, C, params, Omega)
+    scalar = np.array([potential(t, C, params, Omega) + (pendulum_force(t, C, params, Omega),
+                                                          _pendulum(t, C, params, Omega)[2])
+                       for t in grid.tolist()])
+    for array, each in ((P, scalar[:, 0]), (dP, scalar[:, 1]), (-dP, scalar[:, 2]),
+                        (slope, scalar[:, 3])):
+        assert np.array_equal(array, each)
+        assert np.array_equal(np.signbit(array), np.signbit(each))
 
 
 def test_first_integral_and_energy_conserved_along_profiles():

@@ -241,3 +241,34 @@ def test_wavetrain_exists_at_every_boundary_k():
             assert wt is not None, (params, k)
             residual = wt.m3 * (params.mu - k * k) - params.force_balance
             assert abs(residual) <= 1e-14 * max(abs(params.mu), k * k), (params, k)
+
+
+def test_boundary_wavetrain_sits_at_a_pole():
+    # at |b| = |mu - k^2| to rounding the wavetrain is the pole cos(theta) = +-1
+    # with r = 0, although acos of the rounded ratio b/(mu - k^2) can miss the
+    # pole and math.sin(pi) is 1.2e-16
+    reproducer = ModelParams(1.0, 0.0, 1.0, 1.0)
+    wt = wavetrain_at(reproducer, 1.4142135623730951)
+    assert (wt.theta, wt.r, wt.m3) == (math.pi, 0.0, -1.0)
+    rng = np.random.default_rng(1)
+    for mu, h in rng.uniform(-2.0, 2.0, (20000, 2)):
+        params = ModelParams(1.0, 0.0, mu, h)
+        for k in admissible_wavenumbers(params).boundary_k:
+            wt = wavetrain_at(params, k)
+            assert wt.theta in (0.0, math.pi) and wt.r == 0.0, (params, k, wt)
+
+
+def test_e3_eigenvalues_on_an_array_equal_the_per_ell_values():
+    ell = np.linspace(0.0, 2.0, 2001)
+    for params in (ModelParams(1.0, 0.0, -1.0, 2.0), ModelParams(2.0, 1.0, 1.5, 0.25)):
+        for sign in (1, -1):
+            lam = e3_eigenvalues(params, sign, ell)
+            assert lam.shape == (2, ell.size)
+            each = np.array([e3_eigenvalues(params, sign, v) for v in ell.tolist()]).T
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(lam), part(each))
+                assert np.array_equal(np.signbit(part(lam)), np.signbit(part(each)))
+    # at ell = 1 the -e3 branch of the first set is 0 + 0i and 0 - 0i
+    lam = e3_eigenvalues(ModelParams(1.0, 0.0, -1.0, 2.0), -1, 1.0)
+    assert lam.real.tolist() == [0.0, 0.0]
+    assert np.signbit(lam.imag).tolist() == [False, True]

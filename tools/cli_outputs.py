@@ -27,6 +27,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import SWEEP  # noqa: E402
 
 MODEL = ["--alpha", "1", "--beta", "0", "--mu", "1", "--h", "0.5"]
+WAVETRAIN = ["--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1"]
 
 # (name, argv, extension of --out, or None to write to stdout)
 RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
@@ -35,9 +36,8 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
 ] + [
     ("hopf", ["simulate", "--preset", "hopf", "--seed", "1"], ".csv"),
     ("sideband", ["simulate", "--preset", "sideband", "--t-final", "2"], ".csv"),
-    ("wavetrain-noise", ["simulate", "--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1",
-                         "--k", "1", "--perturbation", "noise", "--amplitude", "1e-3",
-                         "--seed", "2", "--t-final", "1"], ".csv"),
+    ("wavetrain-noise", ["simulate", *WAVETRAIN, "--k", "1", "--perturbation", "noise",
+                         "--amplitude", "1e-3", "--seed", "2", "--t-final", "1"], ".csv"),
     ("small-amplitude", ["coherent", "--mode", "small-amplitude", *MODEL, "--s", "5"], ".json"),
     ("drift", ["coherent", "--mode", "drift", "--alpha", "1", "--beta", "0.5", "--mu", "1",
                "--h", "0", "--omega-freq", "0.7"], ".json"),
@@ -52,12 +52,22 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
      ".csv"),
     ("spectrum-e3-resonant", ["spectrum", "--alpha", "1", "--mu", "1", "--h", "0.5", "--k", "1"],
      ".csv"),
+    ("portrait-c", ["coherent", "--preset", "cohex", "--mode", "portrait"], ".json"),
+    # the wavetrain at this boundary k has theta = pi: the -e3 spectrum
+    ("spectrum-e3-boundary", ["spectrum", "--alpha", "1", "--mu", "1", "--h", "1", "--k",
+                              "1.4142135623730951"], ".csv"),
     # exit 2: a bad setting
     ("sideband-on-e3", ["simulate", "--preset", "equilibrium", "--perturbation", "sideband",
                         "--ell", "1", "--amplitude", "0.1"], None),
     ("alpha-negative", ["classify", "--alpha", "-1"], None),
     ("preset-unknown", ["classify", "--preset", "nope"], None),
     ("homoclinic-off-resonance", ["coherent", "--preset", "cohex", "--omega-freq", "0.5"], ".csv"),
+    ("commensurability", ["simulate", *WAVETRAIN, "--k", "0.3", "--t-final", "0.1"], None),
+    ("commensurability-sideband", ["simulate", *WAVETRAIN, "--k", "0", "--perturbation",
+                                   "sideband", "--ell", "0.3", "--amplitude", "0.01",
+                                   "--t-final", "0.1"], None),
+    ("degenerate-family", ["simulate", "--alpha", "1", "--mu", "1", "--k", "1", "--t-final",
+                           "0.1"], None),
     # exit 3: a numerical failure
     ("speed-too-low", ["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1",
                        "--h", "0.5", "--s", "0.01"], None),

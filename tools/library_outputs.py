@@ -5,13 +5,16 @@
 
 The first form imports llgs from the source tree SRC and saves the results of
 `simulate` (diagnostics, snapshots, final field), `mode_amplitudes` on the
-sideband problem and `verify_coherent_profile` on a wavetrain, the cohex
-homoclinic profile and a lifted fast front.  The second form prints, for
+sideband problem, `verify_coherent_profile` on a wavetrain, the cohex
+homoclinic profile and a lifted fast front, and a portrait sweep: the
+equilibria, connections and homoclinic saddle of the stationary reduction
+on the phaseplane, cohex and wt-cyl-q presets and 320 random resonant sets,
+half of them with C = 0.  The second form prints, for
 each array, "equal" when both files hold the same values (np.array_equal,
 NaN equal to NaN) and otherwise the largest absolute difference; it exits 1
 when any array differs or is missing from one file.
 
-One run takes about 5 s and peaks near 200 MB of memory.
+One run takes about 11 s and peaks near 200 MB of memory.
 """
 
 from __future__ import annotations
@@ -39,6 +42,49 @@ def _verification(prefix, report, out):
     out[prefix + "max_defect"] = report.max_defect
     out[prefix + "drift_rate"] = report.drift_rate
     out[prefix + "onset_time"] = math.nan if report.onset_time is None else report.onset_time
+
+
+KINDS = {name: i for i, name in enumerate(
+    ("saddle", "center", "degenerate", "homoclinic", "heteroclinic", "left", "right"))}
+
+
+def _portrait_sweep(out):
+    from llgs import coherent
+    from llgs.errors import LLGSError
+    from llgs.model import ModelParams
+
+    # (alpha, beta, mu, h), C: the phaseplane-a..d, cohex and wt-cyl-q presets
+    cases = [((1.0, 0.0, mu, h), 0.0) for mu, h in ((1.0, 0.5), (0.0, 0.5), (-1.0, 0.5),
+                                                     (-1.0, 0.0))]
+    cases += [((1.0, 1.0, 7.0, 0.0), 1.0), ((1.0, 0.0, 1.0, -0.5), 0.1)]
+    rng = np.random.default_rng(5)
+    for i in range(320):
+        model = (rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0), rng.uniform(-4.0, 8.0),
+                 rng.uniform(-2.0, 2.0))
+        cases.append((model, 0.0 if i % 2 else rng.uniform(-1.5, 1.5)))
+    equilibria, connections, saddles, profiles = [], [], [], []
+    for n, (model, C) in enumerate(cases):
+        params = ModelParams(*model)
+        Omega = params.beta / params.alpha
+        portrait = coherent.stationary_portrait(params, Omega, C)
+        equilibria += [(n, e.theta, KINDS[e.kind], e.level) for e in portrait.equilibria]
+        connections += [(n, KINDS[c.kind], c.theta_from, c.theta_to, KINDS[c.side], c.level)
+                        for c in portrait.connections]
+        try:
+            result = coherent.stationary_homoclinic(params, Omega, C)
+        except LLGSError:  # recorded as -1
+            saddles.append((n, -1.0, math.nan, math.nan))
+            continue
+        if result is None:
+            saddles.append((n, 0.0, math.nan, math.nan))
+            continue
+        saddles.append((n, 1.0 + result.degenerate, result.saddle_theta, result.saddle_q))
+        profiles += [np.concatenate([[n], prof.xi[::100], prof.theta[::100], prof.p[::100]])
+                     for prof in result.profiles]
+    out["portrait.equilibria"] = np.array(equilibria)
+    out["portrait.connections"] = np.array(connections)
+    out["portrait.saddles"] = np.array(saddles)
+    out["portrait.profiles"] = np.array(profiles)
 
 
 def compute() -> dict:
@@ -84,6 +130,7 @@ def compute() -> dict:
     front = coherent.fast_heteroclinic(params, 0.0, 0.0, 50.0).fronts[0]
     _verification("verify-fast.", verify_coherent_profile(coherent.lift_to_ode(front.profile),
                                                           params, window=0.01), out)
+    _portrait_sweep(out)
     return out
 
 
