@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from . import _ode
 from .errors import (ConfigError, ConvergenceError, NoLocalBifurcation, PoleSingularityError,
                      SpeedTooLow)
 from .model import ModelParams, _unit_vectors
@@ -145,15 +144,20 @@ def _pendulum(theta, C, params, Omega):
     st, ct = sin(theta), cos(theta)
     dh = params.h - Omega
     P = ct * (dh - 0.5 * params.mu * ct)
-    dP = -st * (dh - params.mu * ct)
     slope = ct * (dh - params.mu * ct) + params.mu * st * st
     if C != 0.0:
         cot = ct / st
         P = P + 0.5 * C * C * cot * cot
-        dP = dP - C * C * ct / power(st, 3)
         # derivative of C^2 cos/sin^3: (-sin^4 - 3 cos^2 sin^2)/sin^6 = -(1+2cos^2)/sin^4
         slope = slope - C * C * (1.0 + 2.0 * ct * ct) / power(st, 4)
-    return P, dP, slope
+    return P, _potential_derivative(st, ct, C, params, Omega, power), slope
+
+
+def _potential_derivative(st, ct, C, params, Omega, power):
+    """P' from st = sin(theta) and ct = cos(theta).  `pendulum_force` calls it
+    alone, without the force slope -P'' and its second pow."""
+    dP = -st * (params.h - Omega - params.mu * ct)
+    return dP if C == 0.0 else dP - C * C * ct / power(st, 3)
 
 
 def potential(theta: float, C: float, params: ModelParams, Omega: float):
@@ -169,8 +173,11 @@ def potential(theta: float, C: float, params: ModelParams, Omega: float):
 
 
 def pendulum_force(theta: float, C: float, params: ModelParams, Omega: float) -> float:
-    """theta'' = force(theta); equals -dP/dtheta."""
-    return -potential(theta, C, params, Omega)[1]
+    """theta'' = force(theta); equals -dP/dtheta (-inf at a pole barrier)."""
+    st = math.sin(theta)
+    if C != 0.0 and abs(st) <= SIN_TOL:
+        return -math.inf
+    return -_potential_derivative(st, math.cos(theta), C, params, Omega, pow)
 
 
 @dataclass
@@ -224,8 +231,8 @@ def stationary_equilibria(params: ModelParams, Omega: float, C: float):
     grid = np.linspace(1e-6, math.pi - 1e-6, 2001)
     force = -_pendulum(grid, C, params, Omega)[1]
     for i in np.flatnonzero((force[:-1] == 0.0) | (force[:-1] * force[1:] < 0.0)):
-        roots.append(grid[i] if force[i] == 0.0 else
-                     brentq(pendulum_force, grid[i], grid[i + 1], args=(C, params, Omega)))
+        roots.append(grid[i] if force[i] == 0.0 else _ode.brentq(
+            lambda t: pendulum_force(t, C, params, Omega), grid[i], grid[i + 1]))
     return sorted((_equilibrium(t, C, params, Omega) for t in roots), key=lambda e: e.theta)
 
 
@@ -284,12 +291,11 @@ def integrate_stationary(
 ) -> CoherentProfile:
     """Integrate the full stationary system (s = 0) in (theta, p, q)."""
     ansatz = CoherentAnsatz(0.0, Omega)
-    sol = solve_ivp(
+    sol = _ode.solve_ivp(
         lambda t, y: ode_rhs(y, params, ansatz),
         (0.0, xi_span),
         [theta0, p0, q0],
         t_eval=np.linspace(0.0, xi_span, 2000),
-        method="DOP853",
         rtol=1e-12,
         atol=1e-12,
     )
@@ -352,8 +358,8 @@ def _integrate_reduced(params, Omega, C, y0, sgn):
     turning.terminal = True
     turning.direction = -sgn
 
-    sol = solve_ivp(
-        rhs, (0.0, 400.0), y0, method="DOP853", rtol=1e-12, atol=1e-12,
+    sol = _ode.solve_ivp(
+        rhs, (0.0, 400.0), y0, rtol=1e-12, atol=1e-12,
         events=turning, dense_output=True, max_step=0.5,
     )
     if not len(sol.t_events[0]):
@@ -392,11 +398,10 @@ def monotone_drift_check(params: ModelParams, Omega: float) -> DriftReport:
         return y[2]
 
     qzero.terminal = True
-    sol = solve_ivp(
+    sol = _ode.solve_ivp(
         lambda t, y: ode_rhs(y, params, ansatz),
         (0.0, 30.0),
         [1.2, 0.0, 0.5],
-        method="DOP853",
         rtol=1e-11,
         atol=1e-11,
         events=qzero,
@@ -552,11 +557,10 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior):
     near_target.direction = -1
 
     xi_max = 80.0 * abs(ansatz.s) * (1 + params.alpha ** 2) / params.alpha
-    sol = solve_ivp(
+    sol = _ode.solve_ivp(
         rhs,
         (0.0, xi_max),
         [theta0 + into * 1e-8],
-        method="DOP853",
         rtol=1e-11,
         atol=1e-13,
         events=near_target,

@@ -6,10 +6,12 @@
 The first form imports llgs from the source tree SRC and saves the results of
 `simulate` (diagnostics, snapshots, final field), `mode_amplitudes` on the
 sideband problem, `verify_coherent_profile` on a wavetrain, the cohex
-homoclinic profile and a lifted fast front, and a portrait sweep: the
-equilibria, connections and homoclinic saddle of the stationary reduction
-on the phaseplane, cohex and wt-cyl-q presets and 320 random resonant sets,
-half of them with C = 0.  The second form prints, for
+homoclinic profile and a lifted fast front, two `integrate_stationary`
+profiles (the integrator's t_eval path), two `monotone_drift_check` runs
+(its terminal event with dense output; the event stops one of them), and a
+portrait sweep: the equilibria, connections and homoclinic saddle of the
+stationary reduction on the phaseplane, cohex and wt-cyl-q presets and 320
+random resonant sets, half of them with C = 0.  The second form prints, for
 each array, "equal" when both files hold the same values (np.array_equal,
 NaN equal to NaN) and otherwise the largest absolute difference; it exits 1
 when any array differs or is missing from one file.
@@ -130,6 +132,19 @@ def compute() -> dict:
     front = coherent.fast_heteroclinic(params, 0.0, 0.0, 50.0).fronts[0]
     _verification("verify-fast.", verify_coherent_profile(coherent.lift_to_ode(front.profile),
                                                           params, window=0.01), out)
+
+    # the integrator's t_eval path and its event plus dense-output path
+    for name, (model, Omega, y0) in {"a": ((1.0, 0.0, 1.0, 0.0), 0.0, (1.2, 0.0, 0.5)),
+                                     "b": ((0.7, -0.3, -2.5, 1.3), -0.3 / 0.7, (2.0, -0.1, 0.8))
+                                     }.items():
+        prof = coherent.integrate_stationary(ModelParams(*model), Omega, *y0, xi_span=30.0)
+        out[f"stationary-{name}.profile"] = np.array([prof.xi, prof.theta, prof.p, prof.q])
+    for name, (model, Omega) in {"crossing": ((1.0, 0.5, 1.0, 0.0), 0.0),
+                                 "no-crossing": ((1.0, -0.5, 1.0, 0.0), 0.3)}.items():
+        report = coherent.monotone_drift_check(ModelParams(*model), Omega)
+        crossing = math.nan if report.crossing_xi is None else report.crossing_xi
+        out[f"drift-{name}.Q"] = np.array([report.xi, report.Q_values])
+        out[f"drift-{name}.crossing"] = np.array([report.monotone, crossing])
     _portrait_sweep(out)
     return out
 
