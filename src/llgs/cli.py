@@ -247,6 +247,14 @@ def _out_path(out, tag="", ext=None):
     return f"{stem}{tag}{ext or own_ext or '.csv'}"
 
 
+def _write_profile(out, i, profile, fmt):
+    """Write `profile` to the i-th profile file next to --out; return its path."""
+    path = _out_path(out, f"_{i}")
+    write_columns(path, PROFILE_HEADER, (profile.xi, profile.theta, profile.p, profile.q,
+                                         *profile.magnetization().T), fmt)
+    return path
+
+
 def cmd_coherent(args, cp):
     """Coherent-structure analysis."""
     params, opts = params_from_config(cp, args)
@@ -262,8 +270,8 @@ def cmd_coherent(args, cp):
     if mode == "homoclinic":
         result = coherent.stationary_homoclinic(params, Omega, C)
         if result is None:
-            note = (coherent.FORCE_VANISHES_NOTE if coherent._force_vanishes(params, Omega, C)
-                    else "no saddle: all profiles periodic")
+            note = (coherent.stationary_portrait(params, Omega, C).note
+                    or "no homoclinic connection in the stationary portrait")
             write_record(args.out, {"mode": "homoclinic", "found": False, "note": note})
             return 0
         record = {
@@ -273,13 +281,9 @@ def cmd_coherent(args, cp):
             "saddle_theta": result.saddle_theta,
             "saddle_q": result.saddle_q,
             "note": result.note,
-            "profiles": [],
+            "profiles": [_write_profile(args.out, i, prof, args.format)
+                         for i, prof in enumerate(result.profiles, start=1)],
         }
-        for i, prof in enumerate(result.profiles, start=1):
-            path = _out_path(args.out, f"_{i}")
-            write_columns(path, PROFILE_HEADER, (prof.xi, prof.theta, prof.p, prof.q,
-                                                 *prof.magnetization().T), args.format)
-            record["profiles"].append(path)
         if args.out is not None:
             write_record(_out_path(args.out, ext=".json"), record)
         return 0
@@ -293,12 +297,9 @@ def cmd_coherent(args, cp):
         record = {"mode": "fast", "s": s, "interior_theta": result.interior_theta,
                   "fronts": []}
         for i, front in enumerate(result.fronts, start=1):
-            lifted = coherent.lift_to_ode(front.profile)
-            path = _out_path(args.out, f"_{i}")
-            write_columns(path, PROFILE_HEADER, (lifted.xi, lifted.theta, lifted.p, lifted.q,
-                                                 *lifted.magnetization().T), args.format)
             record["fronts"].append({
-                "file": path,
+                "file": _write_profile(args.out, i, coherent.lift_to_ode(front.profile),
+                                       args.format),
                 "theta_start": front.theta_start,
                 "theta_end": front.theta_end,
                 "q_start": front.q_start,

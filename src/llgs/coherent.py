@@ -207,9 +207,6 @@ def _off_resonance(params, Omega):  # the pendulum reduction needs Omega = beta/
     return abs(Omega - params.beta / params.alpha) > 1e-12
 
 
-FORCE_VANISHES_NOTE = "force vanishes identically: every theta is an equilibrium"
-
-
 def _force_vanishes(params, Omega, C):  # the force is then identically zero
     return C == 0.0 and params.mu == 0.0 and params.h == Omega
 
@@ -255,7 +252,8 @@ def stationary_portrait(params: ModelParams, Omega: float, C: float) -> Stationa
     if _off_resonance(params, Omega):
         return StationaryPortrait([], [], "no equilibria: Omega != beta/alpha")
     if _force_vanishes(params, Omega, C):
-        return StationaryPortrait([], [], FORCE_VANISHES_NOTE)
+        return StationaryPortrait([], [],
+                                  "force vanishes identically: every theta is an equilibrium")
     eqs = stationary_equilibria(params, Omega, C)
     ring = [(e.theta, e.kind, e.level) for e in eqs]
     if C == 0.0:
@@ -306,7 +304,7 @@ def integrate_stationary(
 
 @dataclass
 class HomoclinicResult:
-    profiles: list  # the symmetric pair
+    profiles: list  # one per homoclinic side
     saddle_theta: float
     saddle_q: float
     degenerate: bool = False
@@ -314,40 +312,41 @@ class HomoclinicResult:
 
 
 def stationary_homoclinic(params: ModelParams, Omega: float, C: float) -> HomoclinicResult | None:
-    """Pair of homoclinic profiles to the stable wavetrain on q = C/sin^2.
+    """Homoclinic profiles to the stable wavetrain on q = C/sin^2, one per
+    homoclinic side.
 
-    The saddle is the local maximum of the potential (the smaller-q
+    The saddle and its sides are the interior homoclinic connections of
+    `stationary_portrait`, at the saddle of largest sin(theta) (the smaller-q
     intersection of the curve C with the wavetrain curve).  Returns None if
-    no saddle exists (all profiles periodic, or a force identically 0); a
-    tangential intersection is reported as degenerate.  Off resonance
-    (Omega != beta/alpha) the reduction fails: a ConfigError.
+    there are none: all profiles periodic, a force identically 0, or C = 0,
+    where an interior saddle joins its mirror by domain walls.  A tangential
+    intersection is reported as degenerate.  Off resonance (Omega !=
+    beta/alpha) the reduction fails: a ConfigError.
     """
     if _off_resonance(params, Omega):
         raise ConfigError(f"homoclinic profiles need Omega = beta/alpha, got Omega = {Omega}")
-    eqs = stationary_equilibria(params, Omega, C)
-    interior = [e for e in eqs if 0.0 < e.theta < math.pi]
-    saddles = [e for e in interior if e.kind == "saddle"]
-    e = next((e for e in interior if e.kind == "degenerate"), None)
+    portrait = stationary_portrait(params, Omega, C)
+    e = next((e for e in portrait.equilibria
+              if e.kind == "degenerate" and 0.0 < e.theta < math.pi), None)
     if e is not None:
         return HomoclinicResult([], e.theta, C / math.sin(e.theta) ** 2, degenerate=True,
                                 note="tangential intersection (sideband-degenerate)")
-    if not saddles:
+    loops = [c for c in portrait.connections
+             if c.kind == "homoclinic" and 0.0 < c.theta_from < math.pi]
+    if not loops:
         return None
     # smaller q on q = C/sin^2(theta) means sin(theta) largest
-    saddle = max(saddles, key=lambda e: math.sin(e.theta))
-    ths = saddle.theta
+    ths = max((c.theta_from for c in loops), key=math.sin)
     lam = math.sqrt(max(_pendulum(ths, C, params, Omega)[2], 0.0))
-    profiles = []
-    for sgn in (1.0, -1.0):
-        delta = min(1e-6 / (1.0 + lam), 1e-8)
-        y0 = [ths + sgn * delta, sgn * lam * delta]
-        profiles.append(_integrate_reduced(params, Omega, C, y0, sgn))
+    profiles = [_integrate_reduced(params, Omega, C, ths, lam, 1.0 if c.side == "right" else -1.0)
+                for c in loops if c.theta_from == ths]
     return HomoclinicResult(profiles, ths, C / math.sin(ths) ** 2)
 
 
-def _integrate_reduced(params, Omega, C, y0, sgn):
-    """Half-orbit to the turning point p = 0, completed by the reversibility
-    symmetry (xi, theta, p) -> (2 xi_t - xi, theta, -p) of the pendulum."""
+def _integrate_reduced(params, Omega, C, ths, lam, sgn):
+    """Half-orbit from the saddle ths (rate lam) on side sgn to the turning point p = 0,
+    completed by the reversibility (xi, theta, p) -> (2 xi_t - xi, theta, -p) of the pendulum."""
+    delta = min(1e-6 / (1.0 + lam), 1e-8)
 
     def rhs(_, y):
         return [y[1], pendulum_force(y[0], C, params, Omega)]
@@ -359,7 +358,7 @@ def _integrate_reduced(params, Omega, C, y0, sgn):
     turning.direction = -sgn
 
     sol = _ode.solve_ivp(
-        rhs, (0.0, 400.0), y0, rtol=1e-12, atol=1e-12,
+        rhs, (0.0, 400.0), [ths + sgn * delta, sgn * lam * delta], rtol=1e-12, atol=1e-12,
         events=turning, dense_output=True, max_step=0.5,
     )
     if not len(sol.t_events[0]):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from llgs.cli import build_parser, load_config, main, params_from_config, preset_path
+from llgs.cli import (PROFILE_HEADER, build_parser, load_config, main, params_from_config,
+                      preset_path)
 
 
 def run(args, capsys):
@@ -159,6 +160,38 @@ def test_coherent_profile_paths_under_dotted_directory(capsys, tmp_path):
     )
     assert code == 0
     assert sorted(p.name for p in out_dir.iterdir()) == ["prof.json", "prof_1.csv", "prof_2.csv"]
+
+
+def test_coherent_homoclinic_at_c_zero_finds_no_wall_pair(capsys, tmp_path):
+    # phaseplane-a: the saddle theta* = pi/3 joins its mirror -theta* by domain walls
+    out = tmp_path / "walls.csv"
+    code, _, _ = run(["coherent", "--preset", "phaseplane-a", "--mode", "homoclinic",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    record = json.loads(out.read_text())
+    assert record == {"mode": "homoclinic", "found": False,
+                      "note": "no homoclinic connection in the stationary portrait"}
+    assert [p.name for p in tmp_path.iterdir()] == ["walls.csv"]
+
+
+def test_coherent_fast_front_files(capsys, tmp_path):
+    out = tmp_path / "front.csv"
+    code, _, _ = run(["coherent", "--preset", "fast-front", "--out", str(out)], capsys)
+    assert code == 0
+    record = json.loads((tmp_path / "front.json").read_text())
+    s = record["s"]
+    assert record["mode"] == "fast" and s == 50.0
+    assert len(record["fronts"]) == 2
+    for front in record["fronts"]:
+        assert set(front) == {"file", "theta_start", "theta_end", "q_start", "q_end",
+                              "q_first_order_start", "max_dtheta_dxi", "tube_constant"}
+        lines = open(front["file"]).read().strip().splitlines()
+        assert lines[0] == ",".join(PROFILE_HEADER)
+        assert len(lines) > 100
+        assert abs(front["q_start"] - front["q_first_order_start"]) <= 1 / s ** 2
+    assert [f["theta_start"] for f in record["fronts"]] == [1e-8, math.pi - 1e-8]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["front.json", "front_1.csv",
+                                                         "front_2.csv"]
 
 
 def test_coherent_drift_mode(capsys):
@@ -349,10 +382,16 @@ def test_preset_keys_are_known(command, preset):
           "--perturbation", "sideband", "--ell", "0.3", "--amplitude", "0.01",
           "--t-final", "0.1"], None),
         (["simulate", "--alpha", "1", "--mu", "1", "--k", "1", "--t-final", "0.1"], None),
+        (["classify", "--alpha", "1", "--config", "no-such-dir/missing.cfg"], None),
+        (["simulate"], ("[model]", "[model")),
+        (["simulate"], ("sign = 1", "sign = one")),
+        # |h - beta/alpha| = 0.5 > |mu - k^2| = 0: no wavetrain at k = 1
+        (["simulate", "--alpha", "1", "--mu", "1", "--h", "0.5", "--k", "1"], None),
     ],
     ids=["dt-zero", "dt-negative", "sign-2", "diag-every-zero", "n-2", "L-negative",
          "n-samples-1", "theta0-1", "n-k-negative", "e3-n-samples-negative",
-         "e3-n-samples-1", "k-incommensurate", "ell-incommensurate", "k-degenerate-family"],
+         "e3-n-samples-1", "k-incommensurate", "ell-incommensurate", "k-degenerate-family",
+         "config-missing", "config-malformed", "value-unparsable", "no-wavetrain"],
 )
 def test_out_of_range_setting_is_config_error(capsys, tmp_path, argv, edit):
     if edit is not None:

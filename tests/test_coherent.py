@@ -312,6 +312,31 @@ def test_homoclinic_none_when_force_vanishes():
     assert stationary_homoclinic(VANISHING_FORCE, Omega=0.0, C=0.0) is None
 
 
+def test_homoclinic_none_at_phaseplane_a():
+    # the saddle pi/3 joins its mirror -pi/3 by domain walls, not by a homoclinic loop
+    assert stationary_homoclinic(ModelParams(1.0, 0.0, 1.0, 0.5), 0.0, 0.0) is None
+
+
+def test_c_zero_interior_saddles_have_only_walls():
+    """At C = 0 the poles lie below an interior saddle theta*, by
+    P(theta*) - P(pole) = (mu/2)(cos theta* -+ 1)^2, so its connections are
+    walls to its mirror and stationary_homoclinic shoots no profile."""
+    rng = np.random.default_rng(3)
+    with_saddle = 0
+    for _ in range(240):
+        params = ModelParams(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0),
+                             rng.uniform(-4.0, 8.0), rng.uniform(-2.0, 2.0))
+        Omega = params.beta / params.alpha
+        portrait = stationary_portrait(params, Omega, 0.0)
+        saddles = {e.theta for e in portrait.equilibria
+                   if e.kind == "saddle" and 0.0 < e.theta < math.pi}
+        with_saddle += bool(saddles)
+        assert all(c.kind == "heteroclinic" for c in portrait.connections
+                   if c.theta_from in saddles)
+        assert stationary_homoclinic(params, Omega, 0.0) is None
+    assert with_saddle >= 100
+
+
 def test_monotone_drift_off_resonance():
     params = ModelParams(1.0, 0.5, 1.0, 0.0)
     report = monotone_drift_check(params, Omega=0.7)
