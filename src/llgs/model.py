@@ -13,8 +13,13 @@ stepping is
     (1 + alpha^2) dm/dt = -m x g - alpha m x (m x g),   g = m_xx - f(m),
     f(m) = (mu*m3 - h) e3 + beta m x e3.
 
-Its one kernel, `_ll_rhs`, evaluates this component by component, without
-np.cross.
+Its one kernel, `_LLKernel.rhs`, evaluates this on component-first (3, n)
+arrays, each row one component, contiguous along the grid: a stepper keeps its
+state in that layout and allocates the kernel's scratch once.  Both cross
+products are taken on cyclically extended (5, n) buffers with rows
+m1 m2 m3 m1 m2, so each is two products and one difference over (3, n).  The
+(n, 3) entry points (`_ll_rhs`, `second_derivative`, `_project`) call the same
+code on transposed views.  This layout generalises to (3, B, n) batches.
 """
 
 from __future__ import annotations
@@ -135,6 +140,22 @@ def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np
     return out
 
 
+def _periodic_laplacian(v: np.ndarray, dx2: float, out: np.ndarray, tmp=None) -> np.ndarray:
+    """3-point periodic d^2/dx^2 of v along its last axis, written to out.
+
+    (v[i+1] - 2 v[i]) + v[i-1], wrapping around, then / dx2: summed in this
+    order, it is bit-equal to the np.roll stencil.  tmp, shaped like v,
+    receives 2 v; it is allocated when not given.
+    """
+    out[..., :-1] = v[..., 1:]
+    out[..., -1:] = v[..., :1]
+    out -= np.multiply(v, 2.0, out=tmp)
+    out[..., 1:] += v[..., :-1]
+    out[..., :1] += v[..., -1:]
+    out /= dx2
+    return out
+
+
 def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
     """d^2/dx^2 along axis 0, 3-point stencil or spectral (periodic only)."""
     if method == "spectral":
@@ -145,14 +166,8 @@ def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> n
     dx2 = grid.dx ** 2
     out = np.empty_like(values)
     if grid.periodic:
-        # (v[i+1] - 2 v[i]) + v[i-1], wrapping around, summed in this order so
-        # that it is bit-equal to the np.roll stencil
-        out[:-1] = values[1:]
-        out[-1:] = values[:1]
-        out -= 2 * values
-        out[1:] += values[:-1]
-        out[:1] += values[-1:]
-        out /= dx2
+        # the transposes put axis 0 last; a 1-D array is its own transpose
+        _periodic_laplacian(values.T, dx2, out.T)
         return out
     out[1:-1] = (values[2:] - 2 * values[1:-1] + values[:-2]) / dx2
     # one-sided copies of the adjacent interior stencil
@@ -164,19 +179,33 @@ def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> n
 UNIT_NORM_TOL = 1e-12
 
 
-def _row_norm(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (n, 3) array.
+def _norms(m: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Euclidean norm of each column of a component-first (3, n) array.
 
-    Sums the squares in np.linalg.norm's order, so it equals
-    np.linalg.norm(m, axis=1) bit for bit at about half the cost.
+    Sums the squares in np.linalg.norm's order, (m1^2 + m2^2) + m3^2, so it
+    equals np.linalg.norm(m, axis=0) bit for bit at about half the cost.  out
+    and tmp are (n,) scratch, allocated when not given; the norms go to out.
     """
-    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
-    return np.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+    out = np.multiply(m[0], m[0], out=out)
+    tmp = np.multiply(m[1], m[1], out=tmp)
+    out += tmp
+    out += np.multiply(m[2], m[2], out=tmp)
+    return np.sqrt(out, out=out)
+
+
+def _normalize(m: np.ndarray, out: np.ndarray, norm=None, tmp=None) -> np.ndarray:
+    """Each column of a (3, n) array divided by its norm, into out (m itself is allowed).
+
+    The projection to the sphere; norm and tmp are `_norms`' scratch.
+    """
+    return np.divide(m, _norms(m, norm, tmp), out=out)
 
 
 def _project(m: np.ndarray) -> np.ndarray:
     """Each row of a (n, 3) array divided by its norm: the projection to the sphere."""
-    return m / _row_norm(m)[:, None]
+    out = np.empty_like(m)
+    _normalize(m.T, out.T)
+    return out
 
 
 @dataclass
@@ -198,7 +227,7 @@ class MagnetizationField:
             )
 
     def norm_drift(self) -> float:
-        return float(np.max(np.abs(_row_norm(self.values) - 1.0)))
+        return float(np.max(np.abs(_norms(self.values.T) - 1.0)))
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL):
         drift = self.norm_drift()
@@ -255,29 +284,93 @@ def local_wavenumber(sph: SphericalField) -> np.ndarray:
     return np.gradient(sph.phi, sph.grid.dx)
 
 
+class _Extended:
+    """A (5, n) buffer whose rows x1 x2 x3 x1 x2 extend a (3, n) field cyclically.
+
+    Write the field into `rows`, then call `extend`.  The views are taken
+    once: at small n a slice costs a sixth of a ufunc call.
+    """
+
+    def __init__(self, n: int):
+        buf = np.empty((5, n))
+        self.rows = buf[:3]
+        self._tail, self._head = buf[3:], buf[:2]
+        self.shift1 = buf[1:4]  # rows x2 x3 x1
+        self.shift2 = buf[2:5]  # rows x3 x1 x2
+
+    def extend(self):
+        np.copyto(self._tail, self._head)
+
+
+def _cross(a: _Extended, b: _Extended, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """a x b of two extended fields, written to the (3, n) out.
+
+    a.shift1 * b.shift2 - a.shift2 * b.shift1 is row by row np.cross's
+    a2 b3 - a3 b2, a3 b1 - a1 b3, a1 b2 - a2 b1.  tmp is (3, n) scratch.
+    """
+    np.multiply(a.shift1, b.shift2, out=out)
+    np.multiply(a.shift2, b.shift1, out=tmp)
+    return np.subtract(out, tmp, out=out)
+
+
+class _LLKernel:
+    """The Landau-Lifshitz right-hand side on (3, n) arrays, with its scratch.
+
+    Allocate one per grid size and reuse it: a caller writes the field into
+    `m.rows` before each `rhs` call.
+    """
+
+    def __init__(self, n: int):
+        self.m = _Extended(n)
+        self._g = _Extended(n)
+        self._c = _Extended(n)
+        self._tmp = np.empty((3, n))
+
+    def rhs(self, lap: np.ndarray, params: ModelParams, out: np.ndarray) -> np.ndarray:
+        """dm/dt of the field in m.rows, with (3, n) Laplacian lap, written to (3, n) out.
+
+        g = lap - f(m) is written out, and c = m x g and m x c are taken in
+        np.cross's operation order, so each element sees the operations of
+        the np.cross formula and the result equals it bit for bit.  out may
+        be a strided view; it must not overlap lap or the scratch.
+        """
+        m, g, c, tmp = self.m, self._g, self._c, self._tmp
+        m.extend()
+        m1, m2, m3 = m.rows
+        g1, g2, g3 = g.rows
+        beta = params.beta
+        np.multiply(m2, beta, out=g1)  # f = (beta m2, -beta m1, mu m3 - h)
+        np.multiply(m1, -beta, out=g2)
+        np.subtract(np.multiply(m3, params.mu, out=g3), params.h, out=g3)
+        np.subtract(lap, g.rows, out=g.rows)
+        g.extend()
+        _cross(m, g, c.rows, tmp)
+        c.extend()
+        mxc = _cross(m, c, g.rows, tmp)  # g is spent
+        alpha = params.alpha
+        np.multiply(mxc, alpha, out=mxc)
+        np.negative(c.rows, out=out)
+        np.subtract(out, mxc, out=out)
+        return np.divide(out, 1.0 + alpha ** 2, out=out)
+
+
+_kernel = _LLKernel(0)  # _ll_rhs's, rebuilt when n changes
+
+
 def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:
     """Landau-Lifshitz dm/dt of a (n, 3) array m with Laplacian lap.
 
-    The one evaluation of the right-hand side: the time steppers call it
-    directly, so a stepper that also needs lap computes it once.  It works
-    component by component, with g = lap - f(m) written out and both cross
-    products in np.cross's operation order, so it equals the np.cross
-    formula bit for bit.
+    The (n, 3) entry to `_LLKernel.rhs`, through transposed views; the
+    steppers do not use it.  It keeps the kernel of the last n, so that the
+    per-call cost of `rhs_landau_lifshitz` (a benchmark probe) is the
+    kernel's, not that of allocating its (5, n) buffers.
     """
-    beta = params.beta
-    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
-    g1 = lap[:, 0] - beta * m2
-    g2 = lap[:, 1] + beta * m1
-    g3 = lap[:, 2] - (params.mu * m3 - params.h)
-    c1 = m2 * g3 - m3 * g2  # c = m x g
-    c2 = m3 * g1 - m1 * g3
-    c3 = m1 * g2 - m2 * g1
-    alpha = params.alpha
-    scale = 1.0 + alpha ** 2
+    global _kernel
+    if _kernel.m.rows.shape[1] != len(m):
+        _kernel = _LLKernel(len(m))
+    _kernel.m.rows[...] = m.T
     out = np.empty_like(m)
-    out[:, 0] = (-c1 - alpha * (m2 * c3 - m3 * c2)) / scale  # m x c
-    out[:, 1] = (-c2 - alpha * (m3 * c1 - m1 * c3)) / scale
-    out[:, 2] = (-c3 - alpha * (m1 * c2 - m2 * c1)) / scale
+    _kernel.rhs(lap.T, params, out.T)
     return out
 
 

@@ -6,6 +6,13 @@ implicit scheme treating the stiff diffusion alpha/(1+alpha^2) d_xx
 implicitly via FFT (production runs, no dx^2 step barrier).  Used to
 cross-validate wavetrain frequency, sideband growth rates and coherent
 profiles against the analytical modules.
+
+The time-stepped state is component-first: a C-contiguous (3, n) array, one
+row per component.  Each stepper factory allocates its stage buffers and its
+`model._LLKernel` once, and a step then advances the state in place with
+`out=` ufuncs, bit-equal to the (n, 3) formulas.  `simulate` transposes
+only at entry, when it records diagnostics or a snapshot, and at exit;
+everything it returns is (n, 3).
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ from .model import (
     Grid1D,
     MagnetizationField,
     ModelParams,
-    _ll_rhs,
+    _LLKernel,
+    _normalize,
+    _periodic_laplacian,
     _project,
     _unit_vectors,
     energy,
@@ -63,10 +72,15 @@ class SimConfig:
             )
 
     def validate(self, grid: Grid1D, params: ModelParams):
-        """Check the run against the grid and return its step function m -> m."""
+        """Check the run against the grid and return its step function.
+
+        The step advances a (3, n) field in place.
+        """
         make_step = _STEPPERS.get(self.integrator)
         if make_step is None:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
+        if self.integrator == "semi-implicit" and not grid.periodic:
+            raise ConfigError("the semi-implicit step's FFT needs a periodic grid")
         if self.integrator == "rk4":
             limit = cfl_limit(grid, params)
             if self.dt > limit:
@@ -107,39 +121,74 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
 
     c = alpha/(1+alpha^2) is the ellipticity constant; the inverse uses the
     exact Fourier symbol of the discrete 3-point Laplacian, so the split is
-    consistent with the explicit stencil.
+    consistent with the explicit stencil.  The step advances a (3, n) field
+    in place, transforming along its rows; the kernel and the stage buffers
+    are allocated here, once.
     """
-    j = np.arange(grid.n)
-    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / grid.n)) / grid.dx ** 2
+    n, dx2 = grid.n, grid.dx ** 2
+    j = np.arange(n)
+    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / dx2
     c = params.alpha / (1.0 + params.alpha ** 2)
-    denominator = (1.0 - dt * c * symbol)[:, None]
+    denominator = 1.0 - dt * c * symbol
+    kernel = _LLKernel(n)
+    x = kernel.m.rows
+    lap, k = np.empty((3, n)), np.empty((3, n))
 
-    def step(m: np.ndarray) -> np.ndarray:
-        lap = second_derivative(m, grid)
-        explicit = _ll_rhs(m, lap, params) - c * lap
-        rhs_hat = np.fft.fft(m + dt * explicit, axis=0)
-        return np.real(np.fft.ifft(rhs_hat / denominator, axis=0))
+    def step(m: np.ndarray):
+        x[...] = m
+        _periodic_laplacian(x, dx2, lap, k)
+        kernel.rhs(lap, params, k)
+        np.subtract(k, np.multiply(lap, c, out=lap), out=k)  # rhs - c Lap m
+        np.add(m, np.multiply(k, dt, out=k), out=k)
+        spectrum = np.fft.fft(k, axis=1)
+        spectrum /= denominator
+        m[...] = np.fft.ifft(spectrum, axis=1).real
 
     return step
 
 
 def _rk4(grid: Grid1D, params: ModelParams, dt: float):
-    """Classical RK4 step of the full right-hand side."""
+    """Classical RK4 step of the full right-hand side.
 
-    def rhs(m: np.ndarray) -> np.ndarray:
-        return _ll_rhs(m, second_derivative(m, grid), params)
+    The step advances a (3, n) field in place.  The kernel, the stage input
+    and the stage, sum and Laplacian buffers are allocated here, once.  A
+    non-periodic grid takes `second_derivative`'s one-sided end stencil.
+    """
+    n, dx2 = grid.n, grid.dx ** 2
+    kernel = _LLKernel(n)
+    x = kernel.m.rows  # each stage's input
+    lap, k, acc, tmp = (np.empty((3, n)) for _ in range(4))
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def step(m: np.ndarray) -> np.ndarray:
-        k1 = rhs(m)
-        k2 = rhs(m + 0.5 * dt * k1)
-        k3 = rhs(m + 0.5 * dt * k2)
-        k4 = rhs(m + dt * k3)
-        return m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if grid.periodic:
+        def laplacian():
+            _periodic_laplacian(x, dx2, lap, tmp)
+    else:
+        def laplacian():
+            lap[...] = second_derivative(x.T, grid).T
+
+    def rhs(out):
+        laplacian()
+        return kernel.rhs(lap, params, out)
+
+    def step(m: np.ndarray):
+        x[...] = m
+        rhs(acc)  # k1
+        np.add(m, np.multiply(acc, half, out=x), out=x)
+        rhs(k)  # k2
+        np.add(m, np.multiply(k, half, out=x), out=x)
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)  # k1 + 2 k2
+        rhs(k)  # k3
+        np.add(m, np.multiply(k, dt, out=x), out=x)
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+        rhs(k)  # k4
+        np.add(acc, k, out=acc)
+        m += np.multiply(acc, sixth, out=acc)
 
     return step
 
 
-# SimConfig.integrator -> factory (grid, params, dt) -> step(m)
+# SimConfig.integrator -> factory (grid, params, dt) -> step(m), in place on (3, n)
 _STEPPERS = {"rk4": _rk4, "semi-implicit": _semi_implicit}
 
 
@@ -158,35 +207,41 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
     """
     grid = initial.grid
     step_fn = config.validate(grid, params)
-    m = initial.values.copy()
+    m = initial.values.T.copy()  # the (3, n) state, stepped in place
+    norm, tmp = np.empty(grid.n), np.empty(grid.n)
     n_steps = int(round(config.t_final / config.dt))
 
     times, drifts, energies, phis = [], [], [], []
-    snap_t, snaps = [initial.time], [m]
+    values = initial.values.copy()  # (n, 3): the latest recorded or stored state
+    snap_t, snaps = [initial.time], [values]
 
-    def record(t, m):
-        if not np.isfinite(m).all():
+    def record(t, values):
+        if not np.isfinite(values).all():
             raise BlowupError(
                 f"NaN at t = {t:.4g}: finite-time blow-up or under-resolution"
             )
-        fld = MagnetizationField(grid, m, t)
+        fld = MagnetizationField(grid, values, t)
         times.append(t)
         drifts.append(fld.norm_drift())
         energies.append(energy(fld, params))
-        phis.append(math.atan2(m[0, 1], m[0, 0]))
+        phis.append(math.atan2(values[0, 1], values[0, 0]))
 
-    record(initial.time, m)
+    record(initial.time, values)
     t = initial.time
     for step in range(1, n_steps + 1):
-        m = step_fn(m)
+        step_fn(m)
         if config.renormalize:
-            m = _project(m)
+            _normalize(m, m, norm, tmp)
         t = initial.time + step * config.dt
-        if step % config.diag_every == 0 or step == n_steps:
-            record(t, m)
-        if step % config.store_every == 0 or step == n_steps:
-            snap_t.append(t)
-            snaps.append(m)
+        recording = step % config.diag_every == 0 or step == n_steps
+        storing = step % config.store_every == 0 or step == n_steps
+        if recording or storing:
+            values = m.T.copy()
+            if recording:
+                record(t, values)
+            if storing:
+                snap_t.append(t)
+                snaps.append(values)
 
     # jumps between records folded into [-pi, pi] and summed in record order;
     # np.unwrap sums them in another order and moves phi0 by ~1e-13
@@ -195,7 +250,7 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
     phi0 = np.cumsum(np.concatenate([phis[:1], dphi]))
     diag = Diagnostics(np.array(times), np.array(drifts), np.array(energies), phi0)
     traj = Trajectory(grid, np.array(snap_t), np.array(snaps))
-    return SimResult(traj, diag, MagnetizationField(grid, m, t))
+    return SimResult(traj, diag, MagnetizationField(grid, values, t))
 
 
 # ---------------------------------------------------------------------------

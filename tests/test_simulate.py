@@ -16,12 +16,12 @@ from llgs import (
     wavetrain_at,
 )
 from llgs.coherent import CoherentAnsatz, CoherentProfile
-from llgs.errors import BlowupError, CFLError, CommensurabilityError
-from llgs.model import rotate_about_e3
+from llgs.errors import BlowupError, CFLError, CommensurabilityError, ConfigError
+from llgs.model import _ll_rhs, energy, rotate_about_e3, second_derivative
 from llgs.simulate import Trajectory, _project, cfl_limit, mode_amplitudes
 from llgs.wavetrains import wavetrain_field
 
-from conftest import random_smooth_field
+from conftest import random_params, random_smooth_field
 
 PARAMS = ModelParams(alpha=1.0, beta=0.5, mu=1.0, h=1.0)  # b = 0.5, supercritical
 
@@ -36,6 +36,13 @@ def test_cfl_validation():
     SimConfig(dt=2 * limit, t_final=1.0, integrator="semi-implicit").validate(grid, PARAMS)
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, t_final=1.0, integrator="euler").validate(grid, PARAMS)
+
+
+def test_semi_implicit_on_non_periodic_grid_is_config_error():
+    grid = Grid1D(2 * np.pi, 64, periodic=False)
+    with pytest.raises(ConfigError):
+        SimConfig(dt=1e-4, t_final=1.0).validate(grid, PARAMS)
+    SimConfig(dt=1e-4, t_final=1.0, integrator="rk4").validate(grid, PARAMS)
 
 
 def test_commensurability_enforced():
@@ -223,3 +230,117 @@ def test_sideband_initial_of_zero_amplitude_is_the_wavetrain(lower_branch):
     wt = wavetrain_at(PARAMS, 0.6, lower_branch=lower_branch)
     fld = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", ell=0.4, amplitude=0.0))
     assert np.max(np.abs(fld.values - wavetrain_field(wt, grid).values)) < 1e-15
+
+
+def _reference_steps(grid, params, dt):
+    """The (n, 3) RK4 and semi-implicit steps, each returning a new array."""
+    j = np.arange(grid.n)
+    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / grid.n)) / grid.dx ** 2
+    c = params.alpha / (1.0 + params.alpha ** 2)
+    denominator = (1.0 - dt * c * symbol)[:, None]
+
+    def rhs(m):
+        return _ll_rhs(m, second_derivative(m, grid), params)
+
+    def rk4(m):
+        k1 = rhs(m)
+        k2 = rhs(m + 0.5 * dt * k1)
+        k3 = rhs(m + 0.5 * dt * k2)
+        k4 = rhs(m + dt * k3)
+        return m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def semi_implicit(m):
+        lap = second_derivative(m, grid)
+        explicit = _ll_rhs(m, lap, params) - c * lap
+        rhs_hat = np.fft.fft(m + dt * explicit, axis=0)
+        return np.real(np.fft.ifft(rhs_hat / denominator, axis=0))
+
+    return {"rk4": rk4, "semi-implicit": semi_implicit}
+
+
+def _reference_simulate(initial, params, config):
+    """simulate() written on (n, 3) arrays: diagnostics, snapshots and the final field."""
+    step_fn = _reference_steps(initial.grid, params, config.dt)[config.integrator]
+    m = initial.values.copy()
+    n_steps = int(round(config.t_final / config.dt))
+    times, drifts, energies, phis = [], [], [], []
+    snap_t, snaps = [initial.time], [m]
+
+    def record(t, m):
+        fld = MagnetizationField(initial.grid, m, t)
+        times.append(t)
+        drifts.append(fld.norm_drift())
+        energies.append(energy(fld, params))
+        phis.append(math.atan2(m[0, 1], m[0, 0]))
+
+    record(initial.time, m)
+    for step in range(1, n_steps + 1):
+        m = _project(step_fn(m))
+        t = initial.time + step * config.dt
+        if step % config.diag_every == 0 or step == n_steps:
+            record(t, m)
+        if step % config.store_every == 0 or step == n_steps:
+            snap_t.append(t)
+            snaps.append(m)
+    dphi = np.diff(phis)
+    dphi -= 2 * np.pi * np.round(dphi / (2 * np.pi))
+    phi0 = np.cumsum(np.concatenate([phis[:1], dphi]))
+    return (np.array(times), np.array(drifts), np.array(energies), phi0,
+            np.array(snap_t), np.array(snaps), m)
+
+
+def _assert_equals_reference(initial, params, config):
+    result = simulate(initial, params, config)
+    diag, traj = result.diagnostics, result.trajectory
+    got = (diag.times, diag.norm_drift, diag.energy, diag.phi0, traj.times,
+           traj.values, result.final.values)
+    for a, b in zip(got, _reference_simulate(initial, params, config)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "semi-implicit"])
+@pytest.mark.parametrize("n", [16, 96, 1024])
+def test_simulate_equals_n3_reference_bitwise(rng, integrator, n):
+    # n = 96 is not a power of two, so the row-wise FFT takes another path
+    grid = Grid1D(2 * np.pi, n)
+    for zero_beta in (False, True):
+        p = random_params(rng)
+        params = ModelParams(p.alpha, 0.0 if zero_beta else p.beta, p.mu, p.h)
+        initial = random_smooth_field(rng, grid)
+        initial.time = 0.25
+        dt = 0.5 * cfl_limit(grid, params)
+        config = SimConfig(dt=dt, t_final=200 * dt, integrator=integrator,
+                           diag_every=7, store_every=30)
+        _assert_equals_reference(initial, params, config)
+
+
+def test_rk4_on_non_periodic_grid_equals_n3_reference_bitwise(rng):
+    # the ends take second_derivative's one-sided stencil
+    grid = Grid1D(2 * np.pi, 64, periodic=False)
+    initial = random_smooth_field(rng, grid)
+    dt = 0.5 * cfl_limit(grid, PARAMS)
+    config = SimConfig(dt=dt, t_final=200 * dt, integrator="rk4", diag_every=7, store_every=30)
+    _assert_equals_reference(initial, PARAMS, config)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "semi-implicit"])
+def test_snapshots_own_their_memory(rng, integrator):
+    grid = Grid1D(2 * np.pi, 32)
+    initial = random_smooth_field(rng, grid)
+    before = initial.values.copy()
+    dt = 0.5 * cfl_limit(grid, PARAMS)
+    result = simulate(initial, PARAMS, SimConfig(dt=dt, t_final=45 * dt, integrator=integrator,
+                                                 store_every=10))
+    traj = result.trajectory
+    assert np.array_equal(initial.values, before)
+    assert len(traj.times) == 6  # steps 0, 10, 20, 30, 40 and 45
+    assert np.array_equal(traj.values[0], before)
+    for j in range(1, len(traj.times)):
+        steps = 45 if j == len(traj.times) - 1 else 10 * j
+        solo = simulate(initial, PARAMS, SimConfig(dt=dt, t_final=steps * dt,
+                                                   integrator=integrator))
+        assert np.array_equal(traj.values[j], solo.final.values)
+    arrays = [initial.values, result.final.values] + list(traj.values)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)

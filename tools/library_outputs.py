@@ -4,7 +4,9 @@
     python3 tools/library_outputs.py --compare A.npz B.npz
 
 The first form imports llgs from the source tree SRC and saves the results of
-`simulate` (diagnostics, snapshots, final field), `mode_amplitudes` on the
+`simulate` (diagnostics, snapshots, final field) on the hopf and sideband
+problems and off their grid sizes (semi-implicit at n = 96, which is not a
+power of two, and 300 RK4 steps at n = 4096), `mode_amplitudes` on the
 sideband problem, `verify_coherent_profile` on a wavetrain, the cohex
 homoclinic profile and a lifted fast front, two `integrate_stationary`
 profiles (the integrator's t_eval path), two `monotone_drift_check` runs
@@ -16,7 +18,7 @@ each array, "equal" when both files hold the same values (np.array_equal,
 NaN equal to NaN) and otherwise the largest absolute difference; it exits 1
 when any array differs or is missing from one file.
 
-One run takes about 11 s and peaks near 200 MB of memory.
+One run takes about 10 s and peaks near 200 MB of memory.
 """
 
 from __future__ import annotations
@@ -114,6 +116,18 @@ def compute() -> dict:
                                                  diag_every=100, store_every=100))
     _run("sideband.", result, out)
     out["sideband.mode_amplitudes"] = mode_amplitudes(result.trajectory, 0.4, 0.6)
+
+    # the same problems off the shipped grid sizes
+    grid = Grid1D(2 * math.pi, 96)
+    values = np.zeros((grid.n, 3))
+    values[:, 2] = 1.0
+    initial = _perturb(MagnetizationField(grid, values),
+                       PerturbationSpec("noise", amplitude=1e-3, seed=11))
+    _run("hopf-n96.", simulate(initial, params, SimConfig(dt=0.005, t_final=5.0)), out)
+    grid = Grid1D(20 * math.pi, 4096)
+    initial = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", 0.4, 1e-4))
+    _run("sideband-n4096.", simulate(initial, params, SimConfig(
+        dt=1e-4, t_final=0.03, integrator="rk4", diag_every=50, store_every=100)), out)
 
     # a wavetrain as the trivial coherent structure s = 0, Omega = beta/alpha
     xi = np.linspace(-20.0, 20.0, 801)
