@@ -284,8 +284,7 @@ def cmd_coherent(args, cp):
             "profiles": [_write_profile(args.out, i, prof, args.format)
                          for i, prof in enumerate(result.profiles, start=1)],
         }
-        if args.out is not None:
-            write_record(_out_path(args.out, ext=".json"), record)
+        write_record(_out_path(args.out, ext=".json"), record)
         return 0
 
     if mode == "fast":

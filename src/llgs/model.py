@@ -17,9 +17,11 @@ Its one kernel, `_LLKernel.rhs`, evaluates this on component-first (3, n)
 arrays, each row one component, contiguous along the grid: a stepper keeps its
 state in that layout and allocates the kernel's scratch once.  Both cross
 products are taken on cyclically extended (5, n) buffers with rows
-m1 m2 m3 m1 m2, so each is two products and one difference over (3, n).  The
-(n, 3) entry points (`_ll_rhs`, `second_derivative`, `_project`) call the same
-code on transposed views.  This layout generalises to (3, B, n) batches.
+m1 m2 m3 m1 m2, so each is two products and one difference over (3, n).  One
+3-point stencil, `_laplacian`, works along the last axis on both grid kinds.
+The (n, 3) entry points (`_ll_rhs`, `second_derivative`, `_project`) call the
+same code on transposed views; the module keeps no kernel or buffer between
+calls.  This layout generalises to (3, B, n) batches.
 """
 
 from __future__ import annotations
@@ -118,9 +120,16 @@ class Grid1D:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
+def _spectral(method: str) -> bool:
+    """Whether a derivative method is "spectral"; "fd" is the other one."""
+    if method not in ("fd", "spectral"):
+        raise ConfigError(f"unknown derivative method {method!r}; use 'fd' or 'spectral'")
+    return method == "spectral"
+
+
 def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
     """d/dx along axis 0, central differences or spectral (periodic only)."""
-    if method == "spectral":
+    if _spectral(method):
         iq = 1j * grid.wavenumbers()
         if values.ndim > 1:
             iq = iq[:, None]
@@ -140,39 +149,38 @@ def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np
     return out
 
 
-def _periodic_laplacian(v: np.ndarray, dx2: float, out: np.ndarray, tmp=None) -> np.ndarray:
-    """3-point periodic d^2/dx^2 of v along its last axis, written to out.
+def _laplacian(v: np.ndarray, grid: Grid1D, out: np.ndarray, tmp=None) -> np.ndarray:
+    """3-point d^2/dx^2 of v along its last axis, written to out.
 
-    (v[i+1] - 2 v[i]) + v[i-1], wrapping around, then / dx2: summed in this
-    order, it is bit-equal to the np.roll stencil.  tmp, shaped like v,
-    receives 2 v; it is allocated when not given.
+    (v[i+1] - 2 v[i]) + v[i-1], wrapping around, then / dx^2: bit-equal to
+    the np.roll stencil.  A non-periodic grid ends in (v0 - 2 v1) + v2 and
+    its mirror.  tmp, shaped like v, receives 2 v; allocated when not given.
     """
+    twice = np.multiply(v, 2.0, out=tmp)
     out[..., :-1] = v[..., 1:]
     out[..., -1:] = v[..., :1]
-    out -= np.multiply(v, 2.0, out=tmp)
+    out -= twice
     out[..., 1:] += v[..., :-1]
     out[..., :1] += v[..., -1:]
-    out /= dx2
+    if not grid.periodic:
+        np.subtract(v[..., :1], twice[..., 1:2], out=out[..., :1])
+        out[..., :1] += v[..., 2:3]
+        np.subtract(v[..., -1:], twice[..., -2:-1], out=out[..., -1:])
+        out[..., -1:] += v[..., -3:-2]
+    out /= grid.dx ** 2
     return out
 
 
 def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
     """d^2/dx^2 along axis 0, 3-point stencil or spectral (periodic only)."""
-    if method == "spectral":
+    if _spectral(method):
         q2 = grid.wavenumbers() ** 2
         if values.ndim > 1:
             q2 = q2[:, None]
         return np.real(np.fft.ifft(-q2 * np.fft.fft(values, axis=0), axis=0))
-    dx2 = grid.dx ** 2
     out = np.empty_like(values)
-    if grid.periodic:
-        # the transposes put axis 0 last; a 1-D array is its own transpose
-        _periodic_laplacian(values.T, dx2, out.T)
-        return out
-    out[1:-1] = (values[2:] - 2 * values[1:-1] + values[:-2]) / dx2
-    # one-sided copies of the adjacent interior stencil
-    out[0] = (values[0] - 2 * values[1] + values[2]) / dx2
-    out[-1] = (values[-1] - 2 * values[-2] + values[-3]) / dx2
+    # the transposes put axis 0 last; a 1-D array is its own transpose
+    _laplacian(values.T, grid, out.T)
     return out
 
 
@@ -354,23 +362,12 @@ class _LLKernel:
         return np.divide(out, 1.0 + alpha ** 2, out=out)
 
 
-_kernel = _LLKernel(0)  # _ll_rhs's, rebuilt when n changes
-
-
 def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Landau-Lifshitz dm/dt of a (n, 3) array m with Laplacian lap.
-
-    The (n, 3) entry to `_LLKernel.rhs`, through transposed views; the
-    steppers do not use it.  It keeps the kernel of the last n, so that the
-    per-call cost of `rhs_landau_lifshitz` (a benchmark probe) is the
-    kernel's, not that of allocating its (5, n) buffers.
-    """
-    global _kernel
-    if _kernel.m.rows.shape[1] != len(m):
-        _kernel = _LLKernel(len(m))
-    _kernel.m.rows[...] = m.T
+    """dm/dt of a (n, 3) array m with Laplacian lap: `_LLKernel.rhs` on transposed views."""
+    kernel = _LLKernel(len(m))
+    kernel.m.rows[...] = m.T
     out = np.empty_like(m)
-    _kernel.rhs(lap.T, params, out.T)
+    kernel.rhs(lap.T, params, out.T)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Direct PDE integration of the LLGS equation on a periodic 1D grid.
+"""Direct PDE integration of the LLGS equation on a 1D grid.
 
 Method of lines with a 3-point Laplacian.  Two time steppers: classical RK4
 with per-step projection to the sphere (convergence studies), and a linearly
@@ -8,11 +8,12 @@ cross-validate wavetrain frequency, sideband growth rates and coherent
 profiles against the analytical modules.
 
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
-row per component.  Each stepper factory allocates its stage buffers and its
-`model._LLKernel` once, and a step then advances the state in place with
-`out=` ufuncs, bit-equal to the (n, 3) formulas.  `simulate` transposes
-only at entry, when it records diagnostics or a snapshot, and at exit;
-everything it returns is (n, 3).
+row per component.  Each stepper factory rejects what it cannot step (RK4 a
+dt above `cfl_limit`, the semi-implicit scheme a non-periodic grid), then
+allocates its stage buffers and its `model._LLKernel` once; a step advances
+the state in place with `model._laplacian` and `out=` ufuncs, bit-equal to the
+(n, 3) formulas.  `simulate` transposes only at entry, when it records
+diagnostics or a snapshot, and at exit; everything it returns is (n, 3).
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from .model import (
     MagnetizationField,
     ModelParams,
     _LLKernel,
+    _laplacian,
     _normalize,
-    _periodic_laplacian,
     _project,
     _unit_vectors,
     energy,
-    second_derivative,
 )
 from .wavetrains import Wavetrain, wavetrain_field
 
@@ -72,21 +72,10 @@ class SimConfig:
             )
 
     def validate(self, grid: Grid1D, params: ModelParams):
-        """Check the run against the grid and return its step function.
-
-        The step advances a (3, n) field in place.
-        """
+        """The integrator's step function, which advances a (3, n) field in place."""
         make_step = _STEPPERS.get(self.integrator)
         if make_step is None:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if self.integrator == "semi-implicit" and not grid.periodic:
-            raise ConfigError("the semi-implicit step's FFT needs a periodic grid")
-        if self.integrator == "rk4":
-            limit = cfl_limit(grid, params)
-            if self.dt > limit:
-                raise CFLError(
-                    f"dt = {self.dt:.3e} exceeds the explicit bound {limit:.3e}"
-                )
         return make_step(grid, params, self.dt)
 
 
@@ -121,10 +110,12 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
 
     c = alpha/(1+alpha^2) is the ellipticity constant; the inverse uses the
     exact Fourier symbol of the discrete 3-point Laplacian, so the split is
-    consistent with the explicit stencil.  The step advances a (3, n) field
-    in place, transforming along its rows; the kernel and the stage buffers
-    are allocated here, once.
+    consistent with the explicit stencil; its FFT needs a periodic grid.
+    The step advances a (3, n) field in place, transforming along its rows;
+    the kernel and the stage buffers are allocated here, once.
     """
+    if not grid.periodic:
+        raise ConfigError("the semi-implicit step's FFT needs a periodic grid")
     n, dx2 = grid.n, grid.dx ** 2
     j = np.arange(n)
     symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / dx2
@@ -136,7 +127,7 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
 
     def step(m: np.ndarray):
         x[...] = m
-        _periodic_laplacian(x, dx2, lap, k)
+        _laplacian(x, grid, lap, k)
         kernel.rhs(lap, params, k)
         np.subtract(k, np.multiply(lap, c, out=lap), out=k)  # rhs - c Lap m
         np.add(m, np.multiply(k, dt, out=k), out=k)
@@ -150,25 +141,20 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
 def _rk4(grid: Grid1D, params: ModelParams, dt: float):
     """Classical RK4 step of the full right-hand side.
 
-    The step advances a (3, n) field in place.  The kernel, the stage input
-    and the stage, sum and Laplacian buffers are allocated here, once.  A
-    non-periodic grid takes `second_derivative`'s one-sided end stencil.
+    Explicit, so a dt above `cfl_limit` is a CFLError.  The step advances a
+    (3, n) field in place.  The kernel, the stage input and the stage, sum
+    and Laplacian buffers are allocated here, once.
     """
-    n, dx2 = grid.n, grid.dx ** 2
-    kernel = _LLKernel(n)
+    limit = cfl_limit(grid, params)
+    if dt > limit:
+        raise CFLError(f"dt = {dt:.3e} exceeds the explicit bound {limit:.3e}")
+    kernel = _LLKernel(grid.n)
     x = kernel.m.rows  # each stage's input
-    lap, k, acc, tmp = (np.empty((3, n)) for _ in range(4))
+    lap, k, acc, tmp = (np.empty((3, grid.n)) for _ in range(4))
     half, sixth = 0.5 * dt, dt / 6.0
 
-    if grid.periodic:
-        def laplacian():
-            _periodic_laplacian(x, dx2, lap, tmp)
-    else:
-        def laplacian():
-            lap[...] = second_derivative(x.T, grid).T
-
     def rhs(out):
-        laplacian()
+        _laplacian(x, grid, lap, tmp)
         return kernel.rhs(lap, params, out)
 
     def step(m: np.ndarray):
@@ -188,7 +174,8 @@ def _rk4(grid: Grid1D, params: ModelParams, dt: float):
     return step
 
 
-# SimConfig.integrator -> factory (grid, params, dt) -> step(m), in place on (3, n)
+# SimConfig.integrator -> factory (grid, params, dt) -> step(m), in place on (3, n);
+# each factory rejects a grid or dt it cannot step before it allocates
 _STEPPERS = {"rk4": _rk4, "semi-implicit": _semi_implicit}
 
 

@@ -174,6 +174,15 @@ def test_coherent_homoclinic_at_c_zero_finds_no_wall_pair(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["walls.csv"]
 
 
+def test_coherent_homoclinic_without_out_prints_record_after_tables(capsys):
+    code, out, _ = run(["coherent", "--preset", "cohex"], capsys)
+    assert code == 0
+    tables, record = out[:out.index("{")], json.loads(out[out.index("{"):])
+    assert tables.count(",".join(PROFILE_HEADER) + "\n") == 2
+    assert record["mode"] == "homoclinic" and record["found"] is True
+    assert record["profiles"] == [None, None]
+
+
 def test_coherent_fast_front_files(capsys, tmp_path):
     out = tmp_path / "front.csv"
     code, _, _ = run(["coherent", "--preset", "fast-front", "--out", str(out)], capsys)

@@ -18,7 +18,7 @@ from llgs import (
     stereographic,
     to_spherical,
 )
-from llgs.errors import SouthPoleError
+from llgs.errors import ConfigError, SouthPoleError
 from llgs.model import (
     _ll_rhs,
     first_derivative,
@@ -119,6 +119,37 @@ def test_periodic_stencils_equal_roll_formulas_bitwise(rng, grid):
         up, down = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
         assert np.array_equal(first_derivative(v, grid), (up - down) / (2 * dx))
         assert np.array_equal(second_derivative(v, grid), (up - 2 * v + down) / dx ** 2)
+
+
+@pytest.mark.parametrize("n", [16, 64, 257])
+def test_non_periodic_stencils_equal_slice_formulas_bitwise(rng, n):
+    # the one-sided ends are (v0 - 2 v1) + v2 and its mirror, summed in that order
+    grid = Grid1D(2 * np.pi, n, periodic=False)
+    dx = grid.dx
+    m = random_smooth_field(rng, grid).values
+    for v in (m, m[:, 0].copy()):  # (n, 3) and 1-D input
+        d1, d2 = np.empty_like(v), np.empty_like(v)
+        d1[1:-1] = (v[2:] - v[:-2]) / (2 * dx)
+        d1[0] = (v[1] - v[0]) / dx
+        d1[-1] = (v[-1] - v[-2]) / dx
+        d2[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx ** 2
+        d2[0] = (v[0] - 2 * v[1] + v[2]) / dx ** 2
+        d2[-1] = (v[-1] - 2 * v[-2] + v[-3]) / dx ** 2
+        assert np.array_equal(first_derivative(v, grid), d1)
+        assert np.array_equal(second_derivative(v, grid), d2)
+
+
+@pytest.mark.parametrize("method", ["Spectral", "bogus", "FD", ""])
+def test_unknown_derivative_method_is_config_error(rng, grid, method):
+    params = random_params(rng)
+    fld = random_smooth_field(rng, grid)
+    mdot = rhs_landau_lifshitz(fld, params)
+    with pytest.raises(ConfigError, match="unknown derivative method"):
+        rhs_landau_lifshitz(fld, params, method=method)
+    with pytest.raises(ConfigError, match="unknown derivative method"):
+        gilbert_residual(fld, mdot, params, method=method)
+    with pytest.raises(ConfigError, match="unknown derivative method"):
+        energy(fld, params, method=method)
 
 
 def test_spherical_round_trip(rng, grid):

@@ -56,6 +56,8 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
     ("spectrum-e3-resonant", ["spectrum", "--alpha", "1", "--mu", "1", "--h", "0.5", "--k", "1"],
      ".csv"),
     ("portrait-c", ["coherent", "--preset", "cohex", "--mode", "portrait"], ".json"),
+    # no --out: the two profile tables, then the record, on stdout
+    ("cohex-stdout", ["coherent", "--preset", "cohex"], None),
     # the wavetrain at this boundary k has theta = pi: the -e3 spectrum
     ("spectrum-e3-boundary", ["spectrum", "--alpha", "1", "--mu", "1", "--h", "1", "--k",
                               "1.4142135623730951"], ".csv"),

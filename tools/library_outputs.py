@@ -6,17 +6,18 @@
 The first form imports llgs from the source tree SRC and saves the results of
 `simulate` (diagnostics, snapshots, final field) on the hopf and sideband
 problems and off their grid sizes (semi-implicit at n = 96, which is not a
-power of two, and 300 RK4 steps at n = 4096), `mode_amplitudes` on the
-sideband problem, `verify_coherent_profile` on a wavetrain, the cohex
-homoclinic profile and a lifted fast front, two `integrate_stationary`
-profiles (the integrator's t_eval path), two `monotone_drift_check` runs
-(its terminal event with dense output; the event stops one of them), and a
-portrait sweep: the equilibria, connections and homoclinic saddle of the
-stationary reduction on the phaseplane, cohex and wt-cyl-q presets and 320
-random resonant sets, half of them with C = 0.  The second form prints, for
-each array, "equal" when both files hold the same values (np.array_equal,
-NaN equal to NaN) and otherwise the largest absolute difference; it exits 1
-when any array differs or is missing from one file.
+power of two, and 300 RK4 steps at n = 4096), 300 RK4 steps on a
+non-periodic grid, `second_derivative` on non-periodic grids (1-D and (n, 3)
+input), `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
+on a wavetrain, the cohex homoclinic profile and a lifted fast front, two
+`integrate_stationary` profiles (the integrator's t_eval path), two
+`monotone_drift_check` runs (its terminal event with dense output; the event
+stops one of them), and a portrait sweep: the equilibria, connections and
+homoclinic saddle of the stationary reduction on the phaseplane, cohex and
+wt-cyl-q presets and 320 random resonant sets, half of them with C = 0.  The
+second form prints, for each array, "equal" when both files hold the same
+values (np.array_equal, NaN equal to NaN) and otherwise the largest absolute
+difference; it exits 1 when any array differs or is missing from one file.
 
 One run takes about 10 s and peaks near 200 MB of memory.
 """
@@ -93,9 +94,9 @@ def _portrait_sweep(out):
 
 def compute() -> dict:
     from llgs import coherent
-    from llgs.model import Grid1D, MagnetizationField, ModelParams
+    from llgs.model import Grid1D, MagnetizationField, ModelParams, second_derivative
     from llgs.simulate import (PerturbationSpec, SimConfig, _perturb, build_wavetrain_initial,
-                               mode_amplitudes, simulate, verify_coherent_profile)
+                               cfl_limit, mode_amplitudes, simulate, verify_coherent_profile)
     from llgs.wavetrains import wavetrain_at
 
     out = {}
@@ -128,6 +129,20 @@ def compute() -> dict:
     initial = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", 0.4, 1e-4))
     _run("sideband-n4096.", simulate(initial, params, SimConfig(
         dt=1e-4, t_final=0.03, integrator="rk4", diag_every=50, store_every=100)), out)
+
+    # a non-periodic grid, whose ends take the one-sided stencil
+    grid = Grid1D(2 * math.pi, 101, periodic=False)
+    initial = build_wavetrain_initial(wavetrain_at(params, 2.0), grid,
+                                      PerturbationSpec("noise", amplitude=1e-2, seed=13))
+    dt = 0.5 * cfl_limit(grid, params)
+    _run("rk4-non-periodic.", simulate(initial, params, SimConfig(
+        dt=dt, t_final=300 * dt, integrator="rk4", diag_every=20, store_every=100)), out)
+    rng = np.random.default_rng(17)
+    for n in (16, 64, 257):
+        grid = Grid1D(2 * math.pi, n, periodic=False)
+        values = rng.normal(size=(n, 3))
+        out[f"second-derivative-non-periodic.n{n}"] = second_derivative(values, grid)
+        out[f"second-derivative-non-periodic.n{n}-1d"] = second_derivative(values[:, 0], grid)
 
     # a wavetrain as the trivial coherent structure s = 0, Omega = beta/alpha
     xi = np.linspace(-20.0, 20.0, 801)
