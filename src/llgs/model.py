@@ -13,15 +13,15 @@ stepping is
     (1 + alpha^2) dm/dt = -m x g - alpha m x (m x g),   g = m_xx - f(m),
     f(m) = (mu*m3 - h) e3 + beta m x e3.
 
-Its one kernel, `_LLKernel.rhs`, evaluates this on component-first (3, n)
+Its one kernel, `_LLKernel`, evaluates this on component-first (3, n)
 arrays, each row one component, contiguous along the grid: a stepper keeps its
-state in that layout and allocates the kernel's scratch once.  Both cross
-products are taken on cyclically extended (5, n) buffers with rows
-m1 m2 m3 m1 m2, so each is two products and one difference over (3, n).  One
-3-point stencil, `_laplacian`, works along the last axis on both grid kinds.
-The (n, 3) entry points (`_ll_rhs`, `second_derivative`, `_project`) call the
-same code on transposed views; the module keeps no kernel or buffer between
-calls.  This layout generalises to (3, B, n) batches.
+state in that layout and builds the kernel once.  Both cross products are
+taken on cyclically extended (5, n) buffers with rows m1 m2 m3 m1 m2, so each
+is two products and one difference over (3, n).  One 3-point stencil,
+`_Laplacian`, works along the last axis on both grid kinds.  The (n, 3) entry
+points (`_ll_rhs`, `second_derivative`, `_project`) call the same code on
+transposed views; the module keeps no kernel or buffer between calls.  This
+layout generalises to (3, B, n) batches.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import numpy as np
 from .errors import ConfigError, SouthPoleError
 
 E3 = np.array([0.0, 0.0, 1.0])
+_TWO = np.array(2.0)  # 0-d, for `_Laplacian`
+_TWO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -149,26 +151,46 @@ def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np
     return out
 
 
-def _laplacian(v: np.ndarray, grid: Grid1D, out: np.ndarray, tmp=None) -> np.ndarray:
-    """3-point d^2/dx^2 of v along its last axis, written to out.
+class _Laplacian:
+    """3-point d^2/dx^2 of v along its last axis, written to out on each call.
 
     (v[i+1] - 2 v[i]) + v[i-1], wrapping around, then / dx^2: bit-equal to
     the np.roll stencil.  A non-periodic grid ends in (v0 - 2 v1) + v2 and
-    its mirror.  tmp, shaped like v, receives 2 v; allocated when not given.
+    its mirror.  tmp receives 2 v; allocated when not given.  v, out and tmp
+    share one C- or F-contiguous layout, so a shift by one grid point is one
+    shift of their flat memory and no ufunc needs numpy's general iterator,
+    which allocates; the end columns, which that shift gets wrong, are redone.
+    The views are taken once; the scalars are 0-d arrays, as a ufunc converts
+    a Python float on every call.
     """
-    twice = np.multiply(v, 2.0, out=tmp)
-    out[..., :-1] = v[..., 1:]
-    out[..., -1:] = v[..., :1]
-    out -= twice
-    out[..., 1:] += v[..., :-1]
-    out[..., :1] += v[..., -1:]
-    if not grid.periodic:
-        np.subtract(v[..., :1], twice[..., 1:2], out=out[..., :1])
-        out[..., :1] += v[..., 2:3]
-        np.subtract(v[..., -1:], twice[..., -2:-1], out=out[..., -1:])
-        out[..., -1:] += v[..., -3:-2]
-    out /= grid.dx ** 2
-    return out
+
+    def __init__(self, v: np.ndarray, grid: Grid1D, out: np.ndarray, tmp=None):
+        twice = np.empty_like(v) if tmp is None else tmp
+        shift = v.strides[-1] // v.itemsize  # one grid point in flat memory
+        # order "A": memory order, a view of a C- or F-contiguous array
+        flat_v, flat_out = v.reshape(-1, order="A"), out.reshape(-1, order="A")
+        self._v, self._out, self._twice = v, out, twice
+        self._dx2 = np.array(grid.dx ** 2)
+        self._next = (flat_out[:-shift], flat_v[shift:])  # out[i] = v[i+1]
+        self._next_wrap = (out[..., -1], v[..., 0])
+        self._prev = (flat_out[shift:], flat_v[:-shift])  # out[i] += v[i-1]
+        # each end column: (out, a, 2 v, b) for out = (a - 2 v) + b
+        self._ends = ((out[..., 0], v[..., 1], twice[..., 0], v[..., -1]),) if grid.periodic else (
+            (out[..., 0], v[..., 0], twice[..., 1], v[..., 2]),
+            (out[..., -1], v[..., -1], twice[..., -2], v[..., -3]))
+
+    def __call__(self) -> np.ndarray:
+        out, twice = self._out, self._twice
+        np.multiply(self._v, _TWO, out=twice)
+        np.copyto(*self._next)
+        np.copyto(*self._next_wrap)
+        np.subtract(out, twice, out=out)
+        o, v = self._prev
+        np.add(o, v, out=o)
+        for o, a, twice_col, b in self._ends:
+            np.subtract(a, twice_col, out=o)
+            np.add(o, b, out=o)
+        return np.divide(out, self._dx2, out=out)
 
 
 def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
@@ -178,9 +200,10 @@ def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> n
         if values.ndim > 1:
             q2 = q2[:, None]
         return np.real(np.fft.ifft(-q2 * np.fft.fft(values, axis=0), axis=0))
+    values = np.ascontiguousarray(values)  # the stencil shifts flat memory
     out = np.empty_like(values)
     # the transposes put axis 0 last; a 1-D array is its own transpose
-    _laplacian(values.T, grid, out.T)
+    _Laplacian(values.T, grid, out.T)()
     return out
 
 
@@ -324,17 +347,22 @@ def _cross(a: _Extended, b: _Extended, out: np.ndarray, tmp: np.ndarray) -> np.n
 class _LLKernel:
     """The Landau-Lifshitz right-hand side on (3, n) arrays, with its scratch.
 
-    Allocate one per grid size and reuse it: a caller writes the field into
-    `m.rows` before each `rhs` call.
+    Allocate one per grid size and parameter set and reuse it: a caller
+    writes the field into `m.rows` before each `rhs` call.  Row views and
+    the parameters, as 0-d arrays, are taken once.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, params: ModelParams):
         self.m = _Extended(n)
         self._g = _Extended(n)
         self._c = _Extended(n)
         self._tmp = np.empty((3, n))
+        self._m_rows, self._g_rows = tuple(self.m.rows), tuple(self._g.rows)
+        beta, mu, h, alpha = (float(v) for v in (params.beta, params.mu, params.h, params.alpha))
+        self._beta, self._neg_beta, self._mu, self._h, self._alpha, self._scale = (
+            np.array(v) for v in (beta, -beta, mu, h, alpha, 1.0 + alpha ** 2))
 
-    def rhs(self, lap: np.ndarray, params: ModelParams, out: np.ndarray) -> np.ndarray:
+    def rhs(self, lap: np.ndarray, out: np.ndarray) -> np.ndarray:
         """dm/dt of the field in m.rows, with (3, n) Laplacian lap, written to (3, n) out.
 
         g = lap - f(m) is written out, and c = m x g and m x c are taken in
@@ -344,30 +372,28 @@ class _LLKernel:
         """
         m, g, c, tmp = self.m, self._g, self._c, self._tmp
         m.extend()
-        m1, m2, m3 = m.rows
-        g1, g2, g3 = g.rows
-        beta = params.beta
-        np.multiply(m2, beta, out=g1)  # f = (beta m2, -beta m1, mu m3 - h)
-        np.multiply(m1, -beta, out=g2)
-        np.subtract(np.multiply(m3, params.mu, out=g3), params.h, out=g3)
+        m1, m2, m3 = self._m_rows
+        g1, g2, g3 = self._g_rows
+        np.multiply(m2, self._beta, out=g1)  # f = (beta m2, -beta m1, mu m3 - h)
+        np.multiply(m1, self._neg_beta, out=g2)
+        np.subtract(np.multiply(m3, self._mu, out=g3), self._h, out=g3)
         np.subtract(lap, g.rows, out=g.rows)
         g.extend()
         _cross(m, g, c.rows, tmp)
         c.extend()
         mxc = _cross(m, c, g.rows, tmp)  # g is spent
-        alpha = params.alpha
-        np.multiply(mxc, alpha, out=mxc)
+        np.multiply(mxc, self._alpha, out=mxc)
         np.negative(c.rows, out=out)
         np.subtract(out, mxc, out=out)
-        return np.divide(out, 1.0 + alpha ** 2, out=out)
+        return np.divide(out, self._scale, out=out)
 
 
 def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:
     """dm/dt of a (n, 3) array m with Laplacian lap: `_LLKernel.rhs` on transposed views."""
-    kernel = _LLKernel(len(m))
-    kernel.m.rows[...] = m.T
+    kernel = _LLKernel(len(m), params)
+    np.copyto(kernel.m.rows, m.T)
     out = np.empty_like(m)
-    kernel.rhs(lap.T, params, out.T)
+    kernel.rhs(lap.T, out.T)
     return out
 
 

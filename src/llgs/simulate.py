@@ -10,10 +10,11 @@ profiles against the analytical modules.
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
 row per component.  Each stepper factory rejects what it cannot step (RK4 a
 dt above `cfl_limit`, the semi-implicit scheme a non-periodic grid), then
-allocates its stage buffers and its `model._LLKernel` once; a step advances
-the state in place with `model._laplacian` and `out=` ufuncs, bit-equal to the
-(n, 3) formulas.  `simulate` transposes only at entry, when it records
-diagnostics or a snapshot, and at exit; everything it returns is (n, 3).
+builds its buffers, `model._LLKernel` and `model._Laplacian` once; a step
+advances the state in place with `out=` ufuncs, allocates no array, and is
+bit-equal to the (n, 3) formulas.  `simulate` transposes only at entry, when
+it records diagnostics or a snapshot, and at exit; everything it returns is
+(n, 3).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .model import (
     Grid1D,
     MagnetizationField,
     ModelParams,
+    _Laplacian,
     _LLKernel,
-    _laplacian,
     _normalize,
     _project,
     _unit_vectors,
@@ -112,7 +113,7 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
     exact Fourier symbol of the discrete 3-point Laplacian, so the split is
     consistent with the explicit stencil; its FFT needs a periodic grid.
     The step advances a (3, n) field in place, transforming along its rows;
-    the kernel and the stage buffers are allocated here, once.
+    the kernel, the stencil and the buffers are allocated here, once.
     """
     if not grid.periodic:
         raise ConfigError("the semi-implicit step's FFT needs a periodic grid")
@@ -120,20 +121,28 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
     j = np.arange(n)
     symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / dx2
     c = params.alpha / (1.0 + params.alpha ** 2)
-    denominator = 1.0 - dt * c * symbol
-    kernel = _LLKernel(n)
+    # complex and (3, n), so dividing by it neither casts nor buffers
+    denominator = np.tile(1.0 - dt * c * symbol, (3, 1)).astype(complex)
+    c, dt = np.array(c), np.array(dt)  # 0-d, as in model._Laplacian
+    kernel = _LLKernel(n, params)
     x = kernel.m.rows
     lap, k = np.empty((3, n)), np.empty((3, n))
+    laplacian = _Laplacian(x, grid, lap, k)
+    # the FFT's input (its imaginary part stays 0), spectrum and output
+    signal, spectrum, back = (np.zeros((3, n), complex) for _ in range(3))
+    signal_real, back_real = signal.real, back.real
 
     def step(m: np.ndarray):
-        x[...] = m
-        _laplacian(x, grid, lap, k)
-        kernel.rhs(lap, params, k)
+        np.copyto(x, m)
+        laplacian()
+        kernel.rhs(lap, k)
         np.subtract(k, np.multiply(lap, c, out=lap), out=k)  # rhs - c Lap m
         np.add(m, np.multiply(k, dt, out=k), out=k)
-        spectrum = np.fft.fft(k, axis=1)
-        spectrum /= denominator
-        m[...] = np.fft.ifft(spectrum, axis=1).real
+        np.copyto(signal_real, k)  # not a ufunc's out=: a strided 2-D output allocates
+        np.fft.fft(signal, axis=1, out=spectrum)
+        np.divide(spectrum, denominator, out=spectrum)
+        np.fft.ifft(spectrum, axis=1, out=back)
+        np.copyto(m, back_real)
 
     return step
 
@@ -142,31 +151,33 @@ def _rk4(grid: Grid1D, params: ModelParams, dt: float):
     """Classical RK4 step of the full right-hand side.
 
     Explicit, so a dt above `cfl_limit` is a CFLError.  The step advances a
-    (3, n) field in place.  The kernel, the stage input and the stage, sum
-    and Laplacian buffers are allocated here, once.
+    (3, n) field in place.  The kernel, the stencil, the stage input and the
+    stage, sum and Laplacian buffers are allocated here, once.
     """
     limit = cfl_limit(grid, params)
     if dt > limit:
         raise CFLError(f"dt = {dt:.3e} exceeds the explicit bound {limit:.3e}")
-    kernel = _LLKernel(grid.n)
+    kernel = _LLKernel(grid.n, params)
     x = kernel.m.rows  # each stage's input
     lap, k, acc, tmp = (np.empty((3, grid.n)) for _ in range(4))
-    half, sixth = 0.5 * dt, dt / 6.0
+    laplacian, kernel_rhs = _Laplacian(x, grid, lap, tmp), kernel.rhs
+    # 0-d, as in model._Laplacian
+    half, sixth, two, dt = np.array(0.5 * dt), np.array(dt / 6.0), np.array(2.0), np.array(dt)
 
     def rhs(out):
-        _laplacian(x, grid, lap, tmp)
-        return kernel.rhs(lap, params, out)
+        laplacian()
+        return kernel_rhs(lap, out)
 
     def step(m: np.ndarray):
-        x[...] = m
+        np.copyto(x, m)
         rhs(acc)  # k1
         np.add(m, np.multiply(acc, half, out=x), out=x)
         rhs(k)  # k2
         np.add(m, np.multiply(k, half, out=x), out=x)
-        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)  # k1 + 2 k2
+        np.add(acc, np.multiply(k, two, out=k), out=acc)  # k1 + 2 k2
         rhs(k)  # k3
         np.add(m, np.multiply(k, dt, out=x), out=x)
-        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+        np.add(acc, np.multiply(k, two, out=k), out=acc)
         rhs(k)  # k4
         np.add(acc, k, out=acc)
         m += np.multiply(acc, sixth, out=acc)

@@ -34,6 +34,13 @@ def random_smooth_field(rng, grid, n_modes=3):
     return MagnetizationField(grid, values)
 
 
+def signed_zero_field(rng, n):
+    """(n, 3) unit vectors +-e1, +-e2 or +-e3 at random, each other component a random +-0.0."""
+    values = rng.choice([-0.0, 0.0], size=(n, 3))
+    values[np.arange(n), rng.integers(0, 3, size=n)] = rng.choice([-1.0, 1.0], size=n)
+    return values
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

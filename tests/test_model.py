@@ -28,7 +28,7 @@ from llgs.model import (
     second_derivative,
 )
 
-from conftest import random_params, random_smooth_field
+from conftest import random_params, random_smooth_field, signed_zero_field
 
 
 def test_params_reject_nonpositive_alpha():
@@ -139,6 +139,16 @@ def test_non_periodic_stencils_equal_slice_formulas_bitwise(rng, n):
         assert np.array_equal(second_derivative(v, grid), d2)
 
 
+@pytest.mark.parametrize("periodic", [True, False])
+def test_second_derivative_of_strided_input_equals_contiguous_bytewise(rng, periodic):
+    # the stencil shifts flat memory, so a column view or an F-ordered field must not mislead it
+    grid = Grid1D(2 * np.pi, 33, periodic=periodic)
+    m = random_smooth_field(rng, grid).values
+    for v in (m[:, 0], m[::-1], np.asfortranarray(m)):
+        want = second_derivative(np.ascontiguousarray(v), grid)
+        assert second_derivative(v, grid).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("method", ["Spectral", "bogus", "FD", ""])
 def test_unknown_derivative_method_is_config_error(rng, grid, method):
     params = random_params(rng)
@@ -211,6 +221,27 @@ def test_ll_rhs_equals_vector_form_bitwise(rng, grid):
         m = random_smooth_field(rng, grid).values
         lap = second_derivative(m, grid)
         assert np.array_equal(_ll_rhs(m, lap, params), _ll_rhs_vector_form(m, lap, params))
+
+
+def _ll_rhs_row_form(m, lap, params):
+    """Reference: f's rows as m2 beta, m1 (-beta) and m3 mu - h, then np.cross, on (n, 3) arrays."""
+    f = np.stack([m[:, 1] * params.beta, m[:, 0] * -params.beta,
+                  m[:, 2] * params.mu - params.h], axis=1)
+    c = np.cross(m, lap - f)
+    return (-c - np.cross(m, c) * params.alpha) / (1.0 + params.alpha ** 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 64])
+def test_ll_rhs_equals_row_form_bytewise_on_signed_zeros(rng, n):
+    # bytes, so that the sign of a zero counts; with beta = mu = h = 0 and a
+    # Laplacian of signed zeros, every term of the right-hand side is a zero
+    grid = Grid1D(2 * np.pi, n)
+    for params in (random_params(rng), ModelParams(1.5), ModelParams(0.7, -0.0, -0.0, -0.0)):
+        for _ in range(10):
+            m = signed_zero_field(rng, n)
+            for lap in (rng.choice([-0.0, 0.0], size=(n, 3)), second_derivative(m, grid)):
+                got, want = _ll_rhs(m, lap, params), _ll_rhs_row_form(m, lap, params)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_gilbert_form_equivalence(rng):

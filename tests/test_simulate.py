@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from llgs import (
 from llgs.coherent import CoherentAnsatz, CoherentProfile
 from llgs.errors import BlowupError, CFLError, CommensurabilityError, ConfigError
 from llgs.model import _ll_rhs, energy, rotate_about_e3, second_derivative
-from llgs.simulate import Trajectory, _project, cfl_limit, mode_amplitudes
+from llgs.simulate import _STEPPERS, Trajectory, _project, cfl_limit, mode_amplitudes
 from llgs.wavetrains import wavetrain_field
 
-from conftest import random_params, random_smooth_field
+from conftest import random_params, random_smooth_field, signed_zero_field
 
 PARAMS = ModelParams(alpha=1.0, beta=0.5, mu=1.0, h=1.0)  # b = 0.5, supercritical
 
@@ -344,3 +345,55 @@ def test_snapshots_own_their_memory(rng, integrator):
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("case", ["rk4", "semi-implicit", "rk4-non-periodic"])
+def test_steppers_equal_n3_reference_bytewise_at_shortest_views(rng, case, n):
+    # n = 3 and 4 make the stencil's shifted, wrap-around and end views shortest;
+    # bytes, not values, so that a signed zero counts
+    integrator = case.removesuffix("-non-periodic")
+    grid = Grid1D(2 * np.pi, n, periodic=not case.endswith("non-periodic"))
+    p = random_params(rng)
+    for params in (p, ModelParams(p.alpha)):  # beta = mu = h = 0: f is made of signed zeros
+        dt = 0.5 * cfl_limit(grid, params)
+        reference = _reference_steps(grid, params, dt)[integrator]
+        for values in (random_smooth_field(rng, grid).values, signed_zero_field(rng, n)):
+            step = _STEPPERS[integrator](grid, params, dt)
+            m, state = values, values.T.copy()
+            for _ in range(5):
+                m = reference(m)
+                step(state)
+                assert state.T.tobytes() == m.tobytes()
+                m = _project(m)  # as simulate does, so that no run leaves the sphere
+                state[...] = m.T
+
+
+def _peak_bytes(fn, repeats=20):
+    """The most memory traced at once over repeats calls of fn, above what was traced before."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(repeats):
+            fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "semi-implicit"])
+def test_steps_allocate_no_array(rng, integrator):
+    # a (3, n) temporary would take 24 KB, and a ufunc that needs numpy's general
+    # iterator (a broadcast, or strided 2-D operands) 1.1 KB; a few Python objects fit in 256 bytes
+    grid = Grid1D(20 * np.pi, 1024)
+    step = _STEPPERS[integrator](grid, PARAMS, 0.5 * cfl_limit(grid, PARAMS))
+    m = random_smooth_field(rng, grid).values.T.copy()
+    allowed = 256
+    if integrator == "semi-implicit":
+        # np.fft's wrapper and its gufunc call allocate about 1.5 KB, whatever n is
+        signal, spectrum = (np.zeros((3, grid.n), complex) for _ in range(2))
+        allowed += _peak_bytes(lambda: (np.fft.fft(signal, axis=1, out=spectrum),
+                                        np.fft.ifft(spectrum, axis=1, out=signal)))
+    assert _peak_bytes(lambda: step(m)) < allowed

@@ -6,8 +6,9 @@
 The first form imports llgs from the source tree SRC and saves the results of
 `simulate` (diagnostics, snapshots, final field) on the hopf and sideband
 problems and off their grid sizes (semi-implicit at n = 96, which is not a
-power of two, and 300 RK4 steps at n = 4096), 300 RK4 steps on a
-non-periodic grid, `second_derivative` on non-periodic grids (1-D and (n, 3)
+power of two, and 300 RK4 steps at n = 4096), the equilibrium preset's run
+(beta = 0, an exact +e3 field) and 300 RK4 steps with beta = 0, where the
+kernel's f holds signed zeros, 300 RK4 steps on a non-periodic grid, `second_derivative` on non-periodic grids (1-D and (n, 3)
 input), `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
 on a wavetrain, the cohex homoclinic profile and a lifted fast front, two
 `integrate_stationary` profiles (the integrator's t_eval path), two
@@ -16,8 +17,9 @@ stops one of them), and a portrait sweep: the equilibria, connections and
 homoclinic saddle of the stationary reduction on the phaseplane, cohex and
 wt-cyl-q presets and 320 random resonant sets, half of them with C = 0.  The
 second form prints, for each array, "equal" when both files hold the same
-values (np.array_equal, NaN equal to NaN) and otherwise the largest absolute
-difference; it exits 1 when any array differs or is missing from one file.
+bytes (so -0.0 and 0.0 differ), "equal values, other bytes" when only signed
+zeros or NaN payloads differ, and otherwise the largest absolute difference;
+it exits 1 when any array is not byte-equal or is missing from one file.
 
 One run takes about 10 s and peaks near 200 MB of memory.
 """
@@ -130,6 +132,19 @@ def compute() -> dict:
     _run("sideband-n4096.", simulate(initial, params, SimConfig(
         dt=1e-4, t_final=0.03, integrator="rk4", diag_every=50, store_every=100)), out)
 
+    # beta = 0: the equilibrium preset's exact +e3 field, and an RK4 run off +e3
+    e3_grid = Grid1D(2 * math.pi, 64)
+    e3 = MagnetizationField(e3_grid, np.tile([0.0, 0.0, 1.0], (e3_grid.n, 1)))
+    _run("equilibrium.", simulate(e3, ModelParams(1.0, 0.0, -1.0, 0.9),
+                                  SimConfig(dt=0.01, t_final=10.0)), out)
+    zero_beta = ModelParams(0.5, 0.0, 1.0, 0.3)
+    e3_grid = Grid1D(2 * math.pi, 128)
+    e3 = MagnetizationField(e3_grid, np.tile([0.0, 0.0, 1.0], (e3_grid.n, 1)))
+    initial = _perturb(e3, PerturbationSpec("noise", amplitude=1e-2, seed=19))
+    dt = 0.5 * cfl_limit(e3_grid, zero_beta)
+    _run("rk4-zero-beta.", simulate(initial, zero_beta, SimConfig(
+        dt=dt, t_final=300 * dt, integrator="rk4", diag_every=20, store_every=100)), out)
+
     # a non-periodic grid, whose ends take the one-sided stencil
     grid = Grid1D(2 * math.pi, 101, periodic=False)
     initial = build_wavetrain_initial(wavetrain_at(params, 2.0), grid,
@@ -188,8 +203,11 @@ def compare(path_a: str, path_b: str) -> int:
         elif a[name].shape != b[name].shape:
             print(f"{name}: shape {a[name].shape} != {b[name].shape}")
             status = 1
-        elif np.array_equal(a[name], b[name], equal_nan=True):
+        elif a[name].dtype == b[name].dtype and a[name].tobytes() == b[name].tobytes():
             print(f"{name}: equal")
+        elif np.array_equal(a[name], b[name], equal_nan=True):
+            print(f"{name}: equal values, other bytes (signed zeros or NaN payloads)")
+            status = 1
         else:
             print(f"{name}: max |difference| {np.nanmax(np.abs(a[name] - b[name])):.3e}")
             status = 1
