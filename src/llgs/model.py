@@ -18,10 +18,19 @@ arrays, each row one component, contiguous along the grid: a stepper keeps its
 state in that layout and builds the kernel once.  Both cross products are
 taken on cyclically extended (5, n) buffers with rows m1 m2 m3 m1 m2, so each
 is two products and one difference over (3, n).  One 3-point stencil,
-`_Laplacian`, works along the last axis on both grid kinds.  The (n, 3) entry
-points (`_ll_rhs`, `second_derivative`, `_project`) call the same code on
-transposed views; the module keeps no kernel or buffer between calls.  This
-layout generalises to (3, B, n) batches.
+`_Laplacian`, works along the last axis on both grid kinds.  The norms behind
+the projection and the norm drift, `_norms`, square the (3, n) field in one
+call and add its rows in np.linalg.norm's order.  The (n, 3) entry points
+(`_ll_rhs`, `second_derivative`, `_project`, `MagnetizationField.norm_drift`)
+call the same code on transposed views; the module keeps no kernel or buffer
+between calls.  This layout generalises to (3, B, n) batches.
+
+The code a time step runs passes each ufunc its output positionally or uses
+the in-place operator (`a += b` is `np.add(a, b, out=a)`), and copies with
+`a[...] = b`: at n = 64 (numpy 2.4) a ufunc call costs about 0.7-0.9 us with
+`out=` and 0.2 us less without it, an in-place operator about 0.4 us, and a
+copy 0.8 us through `np.copyto` against 0.3 us by assignment.  The operations
+are the same either way.
 """
 
 from __future__ import annotations
@@ -159,9 +168,11 @@ class _Laplacian:
     its mirror.  tmp receives 2 v; allocated when not given.  v, out and tmp
     share one C- or F-contiguous layout, so a shift by one grid point is one
     shift of their flat memory and no ufunc needs numpy's general iterator,
-    which allocates; the end columns, which that shift gets wrong, are redone.
-    The views are taken once; the scalars are 0-d arrays, as a ufunc converts
-    a Python float on every call.
+    which allocates.  v[i+1] - 2 v[i] is one subtract of shifted flat views
+    and the last column's v[0] - 2 v[-1] one more; the end columns, which the
+    shift gets wrong, are redone: seven ufunc calls on a periodic grid.  The
+    views are taken once; the scalars are 0-d arrays, as a ufunc converts a
+    Python float on every call.
     """
 
     def __init__(self, v: np.ndarray, grid: Grid1D, out: np.ndarray, tmp=None):
@@ -169,10 +180,11 @@ class _Laplacian:
         shift = v.strides[-1] // v.itemsize  # one grid point in flat memory
         # order "A": memory order, a view of a C- or F-contiguous array
         flat_v, flat_out = v.reshape(-1, order="A"), out.reshape(-1, order="A")
+        flat_twice = twice.reshape(-1, order="A")
         self._v, self._out, self._twice = v, out, twice
         self._dx2 = np.array(grid.dx ** 2)
-        self._next = (flat_out[:-shift], flat_v[shift:])  # out[i] = v[i+1]
-        self._next_wrap = (out[..., -1], v[..., 0])
+        self._next = (flat_v[shift:], flat_twice[:-shift], flat_out[:-shift])  # v[i+1] - 2 v[i]
+        self._next_wrap = (v[..., 0], twice[..., -1], out[..., -1])
         self._prev = (flat_out[shift:], flat_v[:-shift])  # out[i] += v[i-1]
         # each end column: (out, a, 2 v, b) for out = (a - 2 v) + b
         self._ends = ((out[..., 0], v[..., 1], twice[..., 0], v[..., -1]),) if grid.periodic else (
@@ -180,17 +192,17 @@ class _Laplacian:
             (out[..., -1], v[..., -1], twice[..., -2], v[..., -3]))
 
     def __call__(self) -> np.ndarray:
-        out, twice = self._out, self._twice
-        np.multiply(self._v, _TWO, out=twice)
-        np.copyto(*self._next)
-        np.copyto(*self._next_wrap)
-        np.subtract(out, twice, out=out)
+        out = self._out
+        np.multiply(self._v, _TWO, self._twice)
+        np.subtract(*self._next)
+        np.subtract(*self._next_wrap)
         o, v = self._prev
-        np.add(o, v, out=o)
+        o += v
         for o, a, twice_col, b in self._ends:
-            np.subtract(a, twice_col, out=o)
-            np.add(o, b, out=o)
-        return np.divide(out, self._dx2, out=out)
+            np.subtract(a, twice_col, o)
+            o += b
+        out /= self._dx2
+        return out
 
 
 def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
@@ -215,13 +227,20 @@ def _norms(m: np.ndarray, out=None, tmp=None) -> np.ndarray:
 
     Sums the squares in np.linalg.norm's order, (m1^2 + m2^2) + m3^2, so it
     equals np.linalg.norm(m, axis=0) bit for bit at about half the cost.  out
-    and tmp are (n,) scratch, allocated when not given; the norms go to out.
+    is (n,) and tmp (3, n) scratch, allocated when not given; tmp receives the
+    squares and out the norms.
     """
-    out = np.multiply(m[0], m[0], out=out)
-    tmp = np.multiply(m[1], m[1], out=tmp)
-    out += tmp
-    out += np.multiply(m[2], m[2], out=tmp)
-    return np.sqrt(out, out=out)
+    sq = np.multiply(m, m, tmp)
+    out = np.add(sq[0], sq[1], out)
+    out += sq[2]
+    return np.sqrt(out, out)
+
+
+def _norm_drift(m: np.ndarray, norm=None, tmp=None) -> float:
+    """max |norm - 1| over the columns of a (3, n) array; norm and tmp are `_norms`' scratch."""
+    drift = _norms(m, norm, tmp)
+    drift -= 1.0
+    return float(np.abs(drift, drift).max())
 
 
 def _normalize(m: np.ndarray, out: np.ndarray, norm=None, tmp=None) -> np.ndarray:
@@ -229,7 +248,7 @@ def _normalize(m: np.ndarray, out: np.ndarray, norm=None, tmp=None) -> np.ndarra
 
     The projection to the sphere; norm and tmp are `_norms`' scratch.
     """
-    return np.divide(m, _norms(m, norm, tmp), out=out)
+    return np.divide(m, _norms(m, norm, tmp), out)
 
 
 def _project(m: np.ndarray) -> np.ndarray:
@@ -258,7 +277,7 @@ class MagnetizationField:
             )
 
     def norm_drift(self) -> float:
-        return float(np.max(np.abs(_norms(self.values.T) - 1.0)))
+        return _norm_drift(self.values.T)
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL):
         drift = self.norm_drift()
@@ -330,7 +349,7 @@ class _Extended:
         self.shift2 = buf[2:5]  # rows x3 x1 x2
 
     def extend(self):
-        np.copyto(self._tail, self._head)
+        self._tail[...] = self._head
 
 
 def _cross(a: _Extended, b: _Extended, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -339,9 +358,10 @@ def _cross(a: _Extended, b: _Extended, out: np.ndarray, tmp: np.ndarray) -> np.n
     a.shift1 * b.shift2 - a.shift2 * b.shift1 is row by row np.cross's
     a2 b3 - a3 b2, a3 b1 - a1 b3, a1 b2 - a2 b1.  tmp is (3, n) scratch.
     """
-    np.multiply(a.shift1, b.shift2, out=out)
-    np.multiply(a.shift2, b.shift1, out=tmp)
-    return np.subtract(out, tmp, out=out)
+    np.multiply(a.shift1, b.shift2, out)
+    np.multiply(a.shift2, b.shift1, tmp)
+    out -= tmp
+    return out
 
 
 class _LLKernel:
@@ -374,18 +394,20 @@ class _LLKernel:
         m.extend()
         m1, m2, m3 = self._m_rows
         g1, g2, g3 = self._g_rows
-        np.multiply(m2, self._beta, out=g1)  # f = (beta m2, -beta m1, mu m3 - h)
-        np.multiply(m1, self._neg_beta, out=g2)
-        np.subtract(np.multiply(m3, self._mu, out=g3), self._h, out=g3)
-        np.subtract(lap, g.rows, out=g.rows)
+        np.multiply(m2, self._beta, g1)  # f = (beta m2, -beta m1, mu m3 - h)
+        np.multiply(m1, self._neg_beta, g2)
+        np.multiply(m3, self._mu, g3)
+        g3 -= self._h
+        np.subtract(lap, g.rows, g.rows)
         g.extend()
         _cross(m, g, c.rows, tmp)
         c.extend()
         mxc = _cross(m, c, g.rows, tmp)  # g is spent
-        np.multiply(mxc, self._alpha, out=mxc)
-        np.negative(c.rows, out=out)
-        np.subtract(out, mxc, out=out)
-        return np.divide(out, self._scale, out=out)
+        mxc *= self._alpha
+        np.negative(c.rows, out)
+        out -= mxc
+        out /= self._scale
+        return out
 
 
 def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -438,9 +460,12 @@ def _integrate(values: np.ndarray, grid: Grid1D) -> float:
 
 def energy(fld: MagnetizationField, params: ModelParams, method: str = "fd") -> float:
     """E = 1/2 int (|m_x|^2 + mu*m3^2) dx - int h*m3 dx."""
-    mx = first_derivative(fld.values, fld.grid, method)
+    sq = first_derivative(fld.values, fld.grid, method)
+    np.multiply(sq, sq, out=sq)
+    grad_sq = sq[:, 0] + sq[:, 1]  # |m_x|^2 in np.sum's order, without its reduction set-up
+    grad_sq += sq[:, 2]
     m3 = fld.values[:, 2]
-    density = 0.5 * (np.sum(mx ** 2, axis=1) + params.mu * m3 ** 2) - params.h * m3
+    density = 0.5 * (grad_sq + params.mu * m3 ** 2) - params.h * m3
     return _integrate(density, fld.grid)
 
 

@@ -11,10 +11,14 @@ The time-stepped state is component-first: a C-contiguous (3, n) array, one
 row per component.  Each stepper factory rejects what it cannot step (RK4 a
 dt above `cfl_limit`, the semi-implicit scheme a non-periodic grid), then
 builds its buffers, `model._LLKernel` and `model._Laplacian` once; a step
-advances the state in place with `out=` ufuncs, allocates no array, and is
+advances the state in place with ufuncs that write to those buffers (their
+output passed positionally, as in `model`), allocates no array, and is
 bit-equal to the (n, 3) formulas.  `simulate` transposes only at entry, when
 it records diagnostics or a snapshot, and at exit; everything it returns is
-(n, 3).
+(n, 3).  Its loop reads the config once and takes the time of a step only
+when it records or stores; a record tests finiteness and takes the norm drift
+on the (3, n) state, into scratch allocated once, and the energy and phi0
+from the (n, 3) copy.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .model import (
     ModelParams,
     _Laplacian,
     _LLKernel,
+    _norm_drift,
     _normalize,
     _project,
     _unit_vectors,
@@ -130,19 +135,22 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
     laplacian = _Laplacian(x, grid, lap, k)
     # the FFT's input (its imaginary part stays 0), spectrum and output
     signal, spectrum, back = (np.zeros((3, n), complex) for _ in range(3))
-    signal_real, back_real = signal.real, back.real
+    back_real = back.real
+    # 1-D views, as a ufunc with a strided 2-D output needs the allocating general
+    # iterator; x holds a copy of m until the step's end
+    flat_x, flat_k, flat_signal_real = (a.reshape(-1) for a in (x, k, signal.real))
 
     def step(m: np.ndarray):
-        np.copyto(x, m)
+        x[...] = m
         laplacian()
         kernel.rhs(lap, k)
-        np.subtract(k, np.multiply(lap, c, out=lap), out=k)  # rhs - c Lap m
-        np.add(m, np.multiply(k, dt, out=k), out=k)
-        np.copyto(signal_real, k)  # not a ufunc's out=: a strided 2-D output allocates
+        np.subtract(k, np.multiply(lap, c, lap), k)  # rhs - c Lap m
+        np.multiply(k, dt, k)
+        np.add(flat_x, flat_k, flat_signal_real)  # m + dt k
         np.fft.fft(signal, axis=1, out=spectrum)
-        np.divide(spectrum, denominator, out=spectrum)
+        np.divide(spectrum, denominator, spectrum)
         np.fft.ifft(spectrum, axis=1, out=back)
-        np.copyto(m, back_real)
+        m[...] = back_real
 
     return step
 
@@ -169,18 +177,18 @@ def _rk4(grid: Grid1D, params: ModelParams, dt: float):
         return kernel_rhs(lap, out)
 
     def step(m: np.ndarray):
-        np.copyto(x, m)
+        x[...] = m
         rhs(acc)  # k1
-        np.add(m, np.multiply(acc, half, out=x), out=x)
+        np.add(m, np.multiply(acc, half, x), x)
         rhs(k)  # k2
-        np.add(m, np.multiply(k, half, out=x), out=x)
-        np.add(acc, np.multiply(k, two, out=k), out=acc)  # k1 + 2 k2
+        np.add(m, np.multiply(k, half, x), x)
+        np.add(acc, np.multiply(k, two, k), acc)  # k1 + 2 k2
         rhs(k)  # k3
-        np.add(m, np.multiply(k, dt, out=x), out=x)
-        np.add(acc, np.multiply(k, two, out=k), out=acc)
+        np.add(m, np.multiply(k, dt, x), x)
+        np.add(acc, np.multiply(k, two, k), acc)
         rhs(k)  # k4
-        np.add(acc, k, out=acc)
-        m += np.multiply(acc, sixth, out=acc)
+        np.add(acc, k, acc)
+        m += np.multiply(acc, sixth, acc)
 
     return step
 
@@ -206,34 +214,35 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
     grid = initial.grid
     step_fn = config.validate(grid, params)
     m = initial.values.T.copy()  # the (3, n) state, stepped in place
-    norm, tmp = np.empty(grid.n), np.empty(grid.n)
-    n_steps = int(round(config.t_final / config.dt))
+    norm, sq, finite = np.empty(grid.n), np.empty((3, grid.n)), np.empty((3, grid.n), bool)
+    t0, dt, renormalize = initial.time, config.dt, config.renormalize
+    diag_every, store_every = config.diag_every, config.store_every
+    n_steps = int(round(config.t_final / dt))
 
     times, drifts, energies, phis = [], [], [], []
     values = initial.values.copy()  # (n, 3): the latest recorded or stored state
-    snap_t, snaps = [initial.time], [values]
+    snap_t, snaps = [t0], [values]
 
     def record(t, values):
-        if not np.isfinite(values).all():
+        if not np.isfinite(m, finite).all():
             raise BlowupError(
                 f"NaN at t = {t:.4g}: finite-time blow-up or under-resolution"
             )
-        fld = MagnetizationField(grid, values, t)
         times.append(t)
-        drifts.append(fld.norm_drift())
-        energies.append(energy(fld, params))
+        drifts.append(_norm_drift(m, norm, sq))
+        energies.append(energy(MagnetizationField(grid, values, t), params))
         phis.append(math.atan2(values[0, 1], values[0, 0]))
 
-    record(initial.time, values)
-    t = initial.time
+    record(t0, values)
+    t = t0
     for step in range(1, n_steps + 1):
         step_fn(m)
-        if config.renormalize:
-            _normalize(m, m, norm, tmp)
-        t = initial.time + step * config.dt
-        recording = step % config.diag_every == 0 or step == n_steps
-        storing = step % config.store_every == 0 or step == n_steps
+        if renormalize:
+            _normalize(m, m, norm, sq)
+        recording = step % diag_every == 0 or step == n_steps
+        storing = step % store_every == 0 or step == n_steps
         if recording or storing:
+            t = t0 + step * dt
             values = m.T.copy()
             if recording:
                 record(t, values)

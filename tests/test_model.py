@@ -20,7 +20,10 @@ from llgs import (
 )
 from llgs.errors import ConfigError, SouthPoleError
 from llgs.model import (
+    _integrate,
     _ll_rhs,
+    _norm_drift,
+    _norms,
     first_derivative,
     gilbert_residual,
     local_wavenumber,
@@ -288,6 +291,37 @@ def test_energy_and_dissipation_on_nonperiodic_grid():
     mdot[:, 0] = np.sqrt(grid.x)
     rate = dissipation_rate(fld, mdot, params)
     assert rate == pytest.approx(-params.alpha * grid.length ** 2 / 2, rel=1e-13)
+
+
+def _layouts(values):
+    """values C-ordered, F-ordered, and as a strided view of a larger array."""
+    wide = np.empty((len(values), 6))
+    wide[:, ::2] = values
+    return values, np.asfortranarray(values), wide[:, ::2]
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 64, 1024])
+def test_reductions_equal_previous_expressions_bytewise(rng, n, periodic):
+    # energy's |m_x|^2, the norm drift and _norms against the expressions they replace;
+    # bytes, not values, so that a signed zero counts
+    grid = Grid1D(2 * np.pi, n, periodic=periodic)
+    params = random_params(rng)
+    scaled = random_smooth_field(rng, grid).values * rng.uniform(0.5, 2.0, size=(n, 1))
+    for field in (scaled, signed_zero_field(rng, n)):
+        for values in _layouts(field):
+            fld = MagnetizationField(grid, values)
+            drift = np.max(np.abs(np.linalg.norm(values, axis=1) - 1.0))
+            assert np.float64(fld.norm_drift()).tobytes() == drift.tobytes()
+            assert np.float64(_norm_drift(values.T)).tobytes() == drift.tobytes()
+            for m in (values.T, np.ascontiguousarray(values.T)):
+                assert _norms(m).tobytes() == np.linalg.norm(m, axis=0).tobytes()
+            for method in ("fd", "spectral") if periodic else ("fd",):
+                mx = first_derivative(values, grid, method)
+                m3 = values[:, 2]
+                density = 0.5 * (np.sum(mx ** 2, axis=1) + params.mu * m3 ** 2) - params.h * m3
+                want = np.float64(_integrate(density, grid))
+                assert np.float64(energy(fld, params, method)).tobytes() == want.tobytes()
 
 
 def test_dissipation_rate_requires_variational_case(rng, grid):

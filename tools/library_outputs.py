@@ -8,8 +8,10 @@ The first form imports llgs from the source tree SRC and saves the results of
 problems and off their grid sizes (semi-implicit at n = 96, which is not a
 power of two, and 300 RK4 steps at n = 4096), the equilibrium preset's run
 (beta = 0, an exact +e3 field) and 300 RK4 steps with beta = 0, where the
-kernel's f holds signed zeros, 300 RK4 steps on a non-periodic grid, `second_derivative` on non-periodic grids (1-D and (n, 3)
-input), `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
+kernel's f holds signed zeros, 300 RK4 steps on a non-periodic grid,
+`second_derivative` on non-periodic grids (1-D and (n, 3) input), `norm_drift`
+and `energy` ("fd" and "spectral") of F-ordered, strided and non-periodic
+fields, `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
 on a wavetrain, the cohex homoclinic profile and a lifted fast front, two
 `integrate_stationary` profiles (the integrator's t_eval path), two
 `monotone_drift_check` runs (its terminal event with dense output; the event
@@ -96,7 +98,7 @@ def _portrait_sweep(out):
 
 def compute() -> dict:
     from llgs import coherent
-    from llgs.model import Grid1D, MagnetizationField, ModelParams, second_derivative
+    from llgs.model import Grid1D, MagnetizationField, ModelParams, energy, second_derivative
     from llgs.simulate import (PerturbationSpec, SimConfig, _perturb, build_wavetrain_initial,
                                cfl_limit, mode_amplitudes, simulate, verify_coherent_profile)
     from llgs.wavetrains import wavetrain_at
@@ -158,6 +160,22 @@ def compute() -> dict:
         values = rng.normal(size=(n, 3))
         out[f"second-derivative-non-periodic.n{n}"] = second_derivative(values, grid)
         out[f"second-derivative-non-periodic.n{n}-1d"] = second_derivative(values[:, 0], grid)
+
+    # energy and norm_drift on the input layouts simulate never passes them: F-ordered,
+    # strided and non-periodic fields, one far off the sphere and one just off it
+    for n, periodic in ((64, True), (1024, True), (101, False)):
+        grid = Grid1D(2 * math.pi, n, periodic=periodic)
+        far = rng.normal(size=(n, 3))
+        near = far / np.linalg.norm(far, axis=1, keepdims=True) + 1e-9 * rng.normal(size=(n, 3))
+        for name, field in (("far", far), ("near", near)):
+            wide = np.empty((n, 6))
+            wide[:, ::2] = field
+            for layout, v in (("C", field), ("F", np.asfortranarray(field)),
+                              ("strided", wide[:, ::2])):
+                fld = MagnetizationField(grid, v)
+                methods = ("fd", "spectral") if periodic else ("fd",)
+                out[f"reductions.{'' if periodic else 'non-'}periodic-n{n}-{name}-{layout}"] = (
+                    np.array([fld.norm_drift()] + [energy(fld, params, m) for m in methods]))
 
     # a wavetrain as the trivial coherent structure s = 0, Omega = beta/alpha
     xi = np.linspace(-20.0, 20.0, 801)
