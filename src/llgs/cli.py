@@ -65,6 +65,16 @@ def write_record(path, record):
     _emit(path, json.dumps(record, indent=2) + "\n")
 
 
+def _out_path(out, tag="", ext=None):
+    """A file next to --out: its stem plus `tag`, with `ext` or else its own
+    extension (.csv when it has none).  None (stdout) stays None.  Every
+    JSON record goes to _out_path(out, ext=".json")."""
+    if out is None:
+        return None
+    stem, own_ext = os.path.splitext(out)
+    return f"{stem}{tag}{ext or own_ext or '.csv'}"
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -129,8 +139,8 @@ def params_from_config(cp, args):
 
     Each value is its flag, else its config value, else its OPTIONS default.
     A key of [model] or of the command's section that OPTIONS does not list,
-    a value that does not parse and one outside its choices are ConfigErrors,
-    as argparse makes them for a flag.  Other sections are not read.
+    and a value that does not parse, is outside its choices or is a float that
+    is not finite, is a ConfigError.  Other sections are not read.
     """
     resolved = []
     for section in ("model", args.command):
@@ -152,6 +162,8 @@ def params_from_config(cp, args):
                     raise ConfigError(
                         f"{section}.{key}: {raw!r} is not one of {', '.join(map(str, choices))}"
                     )
+            if cast is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{section}.{key}: {value} is not finite")
             values[key] = default if value is None else value
         resolved.append(values)
     model, options = resolved
@@ -178,7 +190,7 @@ def cmd_classify(args, cp):
         "marginal": stab.marginal,
         "hopf_frequency": stab.hopf_frequency,
     }
-    write_record(args.out, record)
+    write_record(_out_path(args.out, ext=".json"), record)
     return 0
 
 
@@ -238,15 +250,6 @@ def cmd_spectrum(args, cp):
 PROFILE_HEADER = ("xi", "theta", "p", "q", "m1", "m2", "m3")
 
 
-def _out_path(out, tag="", ext=None):
-    """A file next to --out: its stem plus `tag`, with `ext` or else its own
-    extension (.csv when it has none).  None (stdout) stays None."""
-    if out is None:
-        return None
-    stem, own_ext = os.path.splitext(out)
-    return f"{stem}{tag}{ext or own_ext or '.csv'}"
-
-
 def _write_profile(out, i, profile, fmt):
     """Write `profile` to the i-th profile file next to --out; return its path."""
     path = _out_path(out, f"_{i}")
@@ -264,30 +267,25 @@ def cmd_coherent(args, cp):
 
     if mode == "portrait":
         portrait = coherent.stationary_portrait(params, Omega, C)
-        write_record(args.out, {"mode": "portrait", **dataclasses.asdict(portrait)})
-        return 0
-
-    if mode == "homoclinic":
+        record = {"mode": "portrait", **dataclasses.asdict(portrait)}
+    elif mode == "homoclinic":
         result = coherent.stationary_homoclinic(params, Omega, C)
         if result is None:
             note = (coherent.stationary_portrait(params, Omega, C).note
                     or "no homoclinic connection in the stationary portrait")
-            write_record(args.out, {"mode": "homoclinic", "found": False, "note": note})
-            return 0
-        record = {
-            "mode": "homoclinic",
-            "found": not result.degenerate,
-            "degenerate": result.degenerate,
-            "saddle_theta": result.saddle_theta,
-            "saddle_q": result.saddle_q,
-            "note": result.note,
-            "profiles": [_write_profile(args.out, i, prof, args.format)
-                         for i, prof in enumerate(result.profiles, start=1)],
-        }
-        write_record(_out_path(args.out, ext=".json"), record)
-        return 0
-
-    if mode == "fast":
+            record = {"mode": "homoclinic", "found": False, "note": note}
+        else:
+            record = {
+                "mode": "homoclinic",
+                "found": not result.degenerate,
+                "degenerate": result.degenerate,
+                "saddle_theta": result.saddle_theta,
+                "saddle_q": result.saddle_q,
+                "note": result.note,
+                "profiles": [_write_profile(args.out, i, prof, args.format)
+                             for i, prof in enumerate(result.profiles, start=1)],
+            }
+    elif mode == "fast":
         Omega0, Omega1 = opts["omega0"], opts["omega1"]
         s = 50.0 if opts["s"] is None else opts["s"]
         result = coherent.fast_heteroclinic(params, Omega0, Omega1, s)
@@ -309,24 +307,20 @@ def cmd_coherent(args, cp):
                 "max_dtheta_dxi": front.max_dtheta,
                 "tube_constant": front.tube_constant,
             })
-        write_record(_out_path(args.out, ext=".json"), record)
-        return 0
-
-    if mode == "small-amplitude":
+    elif mode == "small-amplitude":
         s = 2.0 if opts["s"] is None else opts["s"]
         report = coherent.small_amplitude_bifurcation(params, s, opts["theta0"])
-        write_record(args.out, dataclasses.asdict(report))
-        return 0
-
-    # drift
-    report = coherent.monotone_drift_check(params, Omega)
-    write_record(args.out, {
-        "mode": "drift",
-        "monotone": report.monotone,
-        "expected_sign": report.expected_sign,
-        "q_crossed_zero": report.q_crossed_zero,
-        "crossing_xi": report.crossing_xi,
-    })
+        record = dataclasses.asdict(report)
+    else:  # drift
+        report = coherent.monotone_drift_check(params, Omega)
+        record = {
+            "mode": "drift",
+            "monotone": report.monotone,
+            "expected_sign": report.expected_sign,
+            "q_crossed_zero": report.q_crossed_zero,
+            "crossing_xi": report.crossing_xi,
+        }
+    write_record(_out_path(args.out, ext=".json"), record)
     return 0
 
 

@@ -36,6 +36,7 @@ are the same either way.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class ModelParams:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ConfigError(f"Gilbert damping must be positive, got alpha={self.alpha}")
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.mu, self.h))):
+            raise ConfigError(f"model parameters must be finite, got {self}")
 
     @property
     def force_balance(self) -> float:

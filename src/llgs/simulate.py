@@ -307,6 +307,8 @@ def _perturb(fld: MagnetizationField, perturbation: PerturbationSpec | None) -> 
         return fld
     if perturbation.kind != "noise":
         raise ConfigError(f"unknown perturbation kind {perturbation.kind!r}")
+    if not perturbation.amplitude >= 0:
+        raise ConfigError(f"noise amplitude must be non-negative, got {perturbation.amplitude}")
     rng = np.random.default_rng(perturbation.seed)
     noise = rng.normal(scale=perturbation.amplitude, size=(fld.grid.n, 3))
     m = fld.values

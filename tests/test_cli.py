@@ -168,10 +168,25 @@ def test_coherent_homoclinic_at_c_zero_finds_no_wall_pair(capsys, tmp_path):
     code, _, _ = run(["coherent", "--preset", "phaseplane-a", "--mode", "homoclinic",
                       "--out", str(out)], capsys)
     assert code == 0
-    record = json.loads(out.read_text())
+    record = json.loads((tmp_path / "walls.json").read_text())
     assert record == {"mode": "homoclinic", "found": False,
                       "note": "no homoclinic connection in the stationary portrait"}
-    assert [p.name for p in tmp_path.iterdir()] == ["walls.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["walls.json"]
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["classify", "--preset", "hopf"], "record"),
+    (["coherent", "--preset", "phaseplane-a"], "portrait.csv"),
+    (["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1", "--h", "0.5",
+      "--s", "5"], "small.csv"),
+    (["coherent", "--mode", "drift", "--alpha", "1", "--beta", "0.5", "--mu", "1",
+      "--omega-freq", "0.7"], "drift.txt"),
+])
+def test_every_record_goes_to_stem_json(capsys, tmp_path, argv, out):
+    code, stdout, _ = run(argv + ["--out", str(tmp_path / out)], capsys)
+    assert code == 0 and stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == [out.split(".")[0] + ".json"]
+    assert isinstance(json.loads(next(tmp_path.iterdir()).read_text()), dict)
 
 
 def test_coherent_homoclinic_without_out_prints_record_after_tables(capsys):
@@ -411,6 +426,50 @@ def test_out_of_range_setting_is_config_error(capsys, tmp_path, argv, edit):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "1", "--mu", "nan"],
+    ["classify", "--alpha", "inf"],
+    ["wavetrains", "--alpha", "1", "--mu", "nan", "--n-k", "3"],
+    ["spectrum", "--alpha", "1", "--mu", "1", "--h", "0.5", "--k", "nan", "--n-samples", "3"],
+    ["spectrum", "--alpha", "1", "--mu", "1", "--h", "0.5", "--k", "0.3", "--ell-max", "inf"],
+    ["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1", "--h", "0.5",
+     "--s", "inf"],
+    ["simulate", "--preset", "equilibrium", "--dt", "nan"],
+], ids=["mu-nan", "alpha-inf", "wavetrains-mu-nan", "spectrum-k-nan", "spectrum-ell-max-inf",
+        "small-amplitude-s-inf", "dt-nan"])
+def test_non_finite_flag_is_config_error(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "config error" in err and "is not finite" in err
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("classify", "h = 0.9", "h = -inf"),
+    ("simulate", "t_final = 10.0", "t_final = nan"),
+])
+def test_non_finite_config_value_is_config_error(capsys, tmp_path, command, old, new):
+    code, out, err = run([command, "--config", _equilibrium_config(tmp_path, old, new)], capsys)
+    assert code == 2 and out == ""
+    assert "is not finite" in err
+
+
+@pytest.mark.parametrize("initial", [["--initial", "e3"], ["--mu", "1", "--k", "0"]],
+                         ids=["e3", "wavetrain"])
+def test_negative_noise_amplitude_is_config_error(capsys, initial):
+    code, out, err = run(["simulate", "--alpha", "1", *initial, "--perturbation", "noise",
+                          "--amplitude", "-1", "--t-final", "0.05"], capsys)
+    assert code == 2 and out == ""
+    assert "noise amplitude must be non-negative" in err
+
+
+def test_wavetrains_skips_a_degenerate_k(capsys):
+    # at k = 1, mu = k^2 and b = 0: the wavetrain family is degenerate there
+    code, out, _ = run(["wavetrains", "--alpha", "1", "--mu", "1", "--h", "0", "--k-min", "0",
+                        "--k-max", "2", "--n-k", "3"], capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "0", "2", "2"]
 
 
 def test_simulate_cfl_rejection_is_numerical_failure(capsys):

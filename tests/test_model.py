@@ -41,6 +41,13 @@ def test_params_reject_nonpositive_alpha():
         ModelParams(alpha=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta", "mu", "h"])
+def test_params_reject_non_finite_values(name, value):
+    with pytest.raises(ConfigError):
+        ModelParams(**{"alpha": 1.0, name: value})
+
+
 def test_force_balance_and_frequency():
     p = ModelParams(alpha=2.0, beta=1.0, mu=0.3, h=1.5)
     assert p.force_balance == 1.0

@@ -172,6 +172,20 @@ def test_fast_front_shots_equal_scipy():
         _assert_same(ours, theirs, tau[::-1] if sign < 0 else tau)
 
 
+def test_terminal_event_without_dense_output_equals_scipy():
+    # the event's root is found on a dense output built for that step only
+
+    def falling(_, y):
+        return y[1]
+
+    falling.terminal = True
+    falling.direction = -1
+    ours, theirs = _both(lambda t, y: [y[1], -math.sin(y[0])], (0.0, 20.0), [0.1, 1.0],
+                         rtol=1e-10, atol=1e-10, events=falling)
+    assert ours.status == 1 and ours.sol is None
+    _assert_same(ours, theirs)
+
+
 def test_failed_run_reports_scipy_status_and_nfev():
     # y' = y^2 blows up at t = 1: the step size underflows before t = 2
     ours, theirs = _both(lambda t, y: y * y, (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-10)

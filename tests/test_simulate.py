@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -181,6 +182,13 @@ def test_noise_perturbation_deterministic():
     assert a.norm_drift() < 1e-12
 
 
+def test_negative_noise_amplitude_is_config_error():
+    grid = Grid1D(2 * np.pi, 64)
+    spec = PerturbationSpec(kind="noise", amplitude=-1e-3, seed=11)
+    with pytest.raises(ConfigError, match="noise amplitude must be non-negative"):
+        build_wavetrain_initial(wavetrain_at(PARAMS, 0.0), grid, spec)
+
+
 def test_measure_growth_rate_on_synthetic_signal():
     grid = Grid1D(20 * np.pi, 256)
     k, ell, sigma = 0.4, 0.1, 0.07
@@ -223,6 +231,21 @@ def test_verify_wavetrain_as_coherent_profile():
     report = verify_coherent_profile(profile, PARAMS, window=1.0, dt=5e-4)
     assert report.max_defect < 1e-3
     assert report.onset_time is None
+
+
+def test_verify_coherent_profile_defaults_to_the_rk4_bound():
+    wt = wavetrain_at(PARAMS, 0.5)
+    xi = np.linspace(-20.0, 20.0, 801)
+    profile = CoherentProfile(xi=xi, theta=np.full_like(xi, wt.theta), p=np.zeros_like(xi),
+                              q=np.full_like(xi, wt.k),
+                              ansatz=CoherentAnsatz(0.0, PARAMS.beta / PARAMS.alpha))
+    default = verify_coherent_profile(profile, PARAMS, window=0.05)
+    # the profile spans 40, so the verification grid is 80 long with 2048 points
+    bound = verify_coherent_profile(profile, PARAMS, window=0.05,
+                                    dt=cfl_limit(Grid1D(80.0, 2048), PARAMS))
+    for a, b in zip(dataclasses.astuple(default), dataclasses.astuple(bound)):
+        assert np.array_equal(a, b)
+    assert len(default.times) > 1
 
 
 @pytest.mark.parametrize("lower_branch", [False, True])

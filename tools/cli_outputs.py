@@ -29,7 +29,7 @@ from workloads import SWEEP  # noqa: E402
 MODEL = ["--alpha", "1", "--beta", "0", "--mu", "1", "--h", "0.5"]
 WAVETRAIN = ["--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1"]
 
-# (name, argv, extension of --out, or None to write to stdout)
+# (name, argv, extension of --out ("" for none), or None to write to stdout)
 RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
     (name + "-json", argv + ["--format", "json"], ".json") for name, argv, _ in SWEEP
     if name in ("spectrum", "equilibrium", "cohex", "wavetrains-a", "fast-front")
@@ -61,6 +61,9 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
     # the wavetrain at this boundary k has theta = pi: the -e3 spectrum
     ("spectrum-e3-boundary", ["spectrum", "--alpha", "1", "--mu", "1", "--h", "1", "--k",
                               "1.4142135623730951"], ".csv"),
+    # a record goes to <stem>.json whatever the extension of --out
+    ("portrait", ["coherent", "--preset", "phaseplane-a"], ".csv"),
+    ("record", ["classify", "--preset", "hopf"], ""),
     # exit 2: a bad setting
     ("sideband-on-e3", ["simulate", "--preset", "equilibrium", "--perturbation", "sideband",
                         "--ell", "1", "--amplitude", "0.1"], None),
@@ -73,6 +76,10 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
                                    "--t-final", "0.1"], None),
     ("degenerate-family", ["simulate", "--alpha", "1", "--mu", "1", "--k", "1", "--t-final",
                            "0.1"], None),
+    ("mu-nan", ["classify", "--alpha", "1", "--mu", "nan"], None),
+    ("s-inf", ["coherent", "--mode", "small-amplitude", *MODEL, "--s", "inf"], None),
+    ("noise-negative", ["simulate", "--alpha", "1", "--initial", "e3", "--perturbation", "noise",
+                        "--amplitude", "-1", "--t-final", "0.05"], None),
     # exit 3: a numerical failure
     ("speed-too-low", ["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1",
                        "--h", "0.5", "--s", "0.01"], None),
