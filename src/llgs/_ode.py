@@ -7,8 +7,8 @@ is the part of `scipy.integrate.solve_ivp(method="DOP853")` that the call
 sites use: the Dormand-Prince 8(5,3) pair with its 7th-order dense output
 (E. Hairer, S. P. Norsett and G. Wanner, *Solving Ordinary Differential
 Equations I*, 2nd ed., Springer 1993, sec. II.5-6), forward in t, with
-scalar rtol and atol, max_step, t_eval or dense output (not both), and one
-terminal event with a direction.
+scalar rtol and atol, max_step, dense output on every run, and one terminal
+event with a direction.
 
 Both keep SciPy's arithmetic operation for operation (the step-size rule,
 the error norm, `np.dot` calls on the same array layouts, the dense-output
@@ -281,25 +281,25 @@ class _DOP853:
         return _Segment(self.t_old, self.t, self.y_old, F)
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, events=None,
-              max_step=np.inf):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, events=None, max_step=np.inf):
     """Integrate y' = fun(t, y) over t_span = (t0, tf), tf > t0, by DOP853.
 
-    `events` is one function event(t, y) with `terminal = True` and an
-    optional `direction`; the run ends at its first zero crossed in that
-    direction (-1: falling, +1: rising, 0: either).  The result has t, y,
-    sol (the OdeSolution when dense_output), t_events, nfev, status (-1
-    failed, 0 reached tf, 1 event), message and success, as in SciPy.
+    Every step builds its dense output.  `events` is one function
+    event(t, y) with `terminal = True` and an optional `direction`; the run
+    ends at its first zero crossed in that direction (-1: falling, +1:
+    rising, 0: either).  The result has t and y at the step ends, sol (the
+    OdeSolution over the run), t_events, nfev, status (-1 failed, 0 reached
+    tf, 1 event), message and success, as in a SciPy run with dense output.
     """
     t0, tf = map(float, t_span)
     solver = _DOP853(fun, t0, y0, tf, max_step, rtol, atol)
-    ts, ys, segments, t_events = ([t0], [solver.y], [], []) if t_eval is None else ([], [], [], [])
+    ts, ys, segments, t_events = [t0], [solver.y], [], []
     if events is not None:
         if not getattr(events, "terminal", False):
             raise ConfigError("solve_ivp supports one terminal event only")
         direction = getattr(events, "direction", 0)
         g = events(t0, solver.y)
-    status, i_eval = None, 0
+    status = None
     while status is None:
         if not solver.step():
             status = -1
@@ -307,38 +307,23 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
         if solver.t >= tf:
             status = 0
         t, y = solver.t, solver.y
-        sol = solver.dense_output() if dense_output else None
-        if dense_output:
-            segments.append(sol)
+        sol = solver.dense_output()
+        segments.append(sol)
         if events is not None:
             g_new = events(t, y)
             if (g <= 0 <= g_new and direction >= 0) or (g >= 0 >= g_new and direction <= 0):
-                if sol is None:
-                    sol = solver.dense_output()
                 root = np.float64(brentq(lambda s: events(s, sol(s)), solver.t_old, t,
                                          xtol=4 * EPS, rtol=4 * EPS))
                 t_events.append(root)
                 status, t, y = 1, root, sol(root)
             g = g_new
-        if t_eval is None:
-            if len(ts) > 1 and ts[-1] == t and dense_output:  # an event at the last step end
-                segments.pop()
-            else:
-                ts.append(t)
-                ys.append(y)
+        if len(ts) > 1 and ts[-1] == t:  # an event at the last step end
+            segments.pop()
         else:
-            i_new = np.searchsorted(t_eval, t, side="right")
-            if i_new > i_eval:
-                if sol is None:
-                    sol = solver.dense_output()
-                ts.append(t_eval[i_eval:i_new])
-                ys.append(sol(t_eval[i_eval:i_new]))
-                i_eval = i_new
-    if t_eval is None:
-        ts, ys = np.array(ts), np.vstack(ys).T
-    elif ts:
-        ts, ys = np.hstack(ts), np.hstack(ys)
+            ts.append(t)
+            ys.append(y)
+    ts = np.array(ts)
     return SimpleNamespace(
-        t=ts, y=ys, sol=OdeSolution(ts, segments) if dense_output else None,
+        t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, segments),
         t_events=[np.asarray(t_events)], nfev=solver.nfev, status=status,
         message=MESSAGES[status], success=status >= 0)

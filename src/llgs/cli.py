@@ -229,6 +229,9 @@ def cmd_spectrum(args, cp):
     header = ("ell", "re_lambda_1", "im_lambda_1", "re_lambda_2", "im_lambda_2",
               "residual_1", "residual_2")
     if wt is None or wt.r == 0.0:
+        if c_ph != 0.0:
+            raise ConfigError(f"c_ph = {c_ph}: no wavetrain with r > 0 at k = {k}, and the "
+                              "constant-state spectrum has no comoving frame")
         sign = 1 if params.force_balance * (params.mu - k * k) >= 0 else -1
         print(
             f"no wavetrain with r > 0 at k = {k}; emitting the {'+' if sign > 0 else '-'}e3 "

@@ -293,13 +293,14 @@ def integrate_stationary(
         lambda t, y: ode_rhs(y, params, ansatz),
         (0.0, xi_span),
         [theta0, p0, q0],
-        t_eval=np.linspace(0.0, xi_span, 2000),
         rtol=1e-12,
         atol=1e-12,
     )
     if not sol.success:
         raise ConvergenceError(f"stationary integration failed: {sol.message}")
-    return CoherentProfile(sol.t, sol.y[0], sol.y[1], sol.y[2], ansatz)
+    xi = np.linspace(0.0, xi_span, 2000)
+    theta, p, q = sol.sol(xi)
+    return CoherentProfile(xi, theta, p, q, ansatz)
 
 
 @dataclass
@@ -359,7 +360,7 @@ def _integrate_reduced(params, Omega, C, ths, lam, sgn):
 
     sol = _ode.solve_ivp(
         rhs, (0.0, 400.0), [ths + sgn * delta, sgn * lam * delta], rtol=1e-12, atol=1e-12,
-        events=turning, dense_output=True, max_step=0.5,
+        events=turning, max_step=0.5,
     )
     if not len(sol.t_events[0]):
         raise ConvergenceError("no turning point found; orbit is not a homoclinic loop")
@@ -404,7 +405,6 @@ def monotone_drift_check(params: ModelParams, Omega: float) -> DriftReport:
         rtol=1e-11,
         atol=1e-11,
         events=qzero,
-        dense_output=True,
     )
     xi = np.linspace(0.0, sol.t[-1], 1500)
     y = sol.sol(xi)
@@ -563,7 +563,6 @@ def _shoot_from_pole(params, ansatz, Omega1, theta0, interior):
         rtol=1e-11,
         atol=1e-13,
         events=near_target,
-        dense_output=True,
     )
     if not len(sol.t_events[0]):
         raise ConvergenceError(

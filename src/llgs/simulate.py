@@ -309,6 +309,8 @@ def _perturb(fld: MagnetizationField, perturbation: PerturbationSpec | None) -> 
         raise ConfigError(f"unknown perturbation kind {perturbation.kind!r}")
     if not perturbation.amplitude >= 0:
         raise ConfigError(f"noise amplitude must be non-negative, got {perturbation.amplitude}")
+    if perturbation.seed is not None and perturbation.seed < 0:
+        raise ConfigError(f"noise seed must be non-negative, got {perturbation.seed}")
     rng = np.random.default_rng(perturbation.seed)
     noise = rng.normal(scale=perturbation.amplitude, size=(fld.grid.n, 3))
     m = fld.values

@@ -400,6 +400,9 @@ def test_preset_keys_are_known(command, preset):
           "--n-samples", "-1"], None),
         (["spectrum", "--alpha", "1", "--beta", "0", "--mu", "-1", "--h", "2", "--k", "0",
           "--n-samples", "1"], None),
+        # the constant-state fallback has no comoving frame
+        (["spectrum", "--alpha", "1", "--mu", "-1", "--h", "2", "--k", "0", "--n-samples", "3",
+          "--c-ph", "5"], None),
         (["simulate", "--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1", "--k", "0.3",
           "--t-final", "0.1"], None),
         (["simulate", "--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1", "--k", "0",
@@ -411,11 +414,14 @@ def test_preset_keys_are_known(command, preset):
         (["simulate"], ("sign = 1", "sign = one")),
         # |h - beta/alpha| = 0.5 > |mu - k^2| = 0: no wavetrain at k = 1
         (["simulate", "--alpha", "1", "--mu", "1", "--h", "0.5", "--k", "1"], None),
+        (["simulate", "--alpha", "1", "--initial", "e3", "--perturbation", "noise",
+          "--amplitude", "0.1", "--seed", "-1", "--t-final", "0.05"], None),
     ],
     ids=["dt-zero", "dt-negative", "sign-2", "diag-every-zero", "n-2", "L-negative",
          "n-samples-1", "theta0-1", "n-k-negative", "e3-n-samples-negative",
-         "e3-n-samples-1", "k-incommensurate", "ell-incommensurate", "k-degenerate-family",
-         "config-missing", "config-malformed", "value-unparsable", "no-wavetrain"],
+         "e3-n-samples-1", "e3-c-ph", "k-incommensurate", "ell-incommensurate",
+         "k-degenerate-family", "config-missing", "config-malformed", "value-unparsable",
+         "no-wavetrain", "seed-negative"],
 )
 def test_out_of_range_setting_is_config_error(capsys, tmp_path, argv, edit):
     if edit is not None:

@@ -182,6 +182,11 @@ def test_pole_barrier_for_nonzero_c():
     assert np.min(np.abs(np.sin(prof.theta))) > 1e-3
 
 
+@pytest.mark.parametrize("theta", [0.0, math.pi])
+def test_pendulum_force_at_a_pole_barrier(theta):
+    assert pendulum_force(theta, 0.5, ModelParams(1.0, 0.0, 1.0, 0.0), 0.0) == -math.inf
+
+
 def test_portrait_off_resonance_empty():
     params = ModelParams(1.0, 0.5, 1.0, 0.0)
     portrait = stationary_portrait(params, Omega=0.2, C=0.0)

@@ -19,9 +19,9 @@ from scipy.optimize import brentq as scipy_brentq
 
 import llgs
 from llgs import ModelParams, _ode
-from llgs.coherent import (CoherentAnsatz, _pendulum, fast_heteroclinic, ode_rhs, pendulum_force,
-                           slaved_fast_variables)
-from llgs.errors import ConvergenceError
+from llgs.coherent import (CoherentAnsatz, _pendulum, fast_heteroclinic, integrate_stationary,
+                           ode_rhs, pendulum_force, slaved_fast_variables)
+from llgs.errors import ConfigError, ConvergenceError
 
 
 def _resonant_sets(n):
@@ -67,6 +67,13 @@ def test_brentq_equals_scipy_on_random_polynomials():
                               scipy_brentq(f, a, b, xtol=tol, rtol=tol))
 
 
+@pytest.mark.parametrize("xa, xb", [(1.0, 2.0), (0.0, 1.0)], ids=["root-at-xa", "root-at-xb"])
+def test_brentq_root_at_an_endpoint_equals_scipy(xa, xb):
+    ours = _ode.brentq(lambda x: x - 1.0, xa, xb)
+    assert type(ours) is float and ours == 1.0
+    assert np.array_equal(ours, scipy_brentq(lambda x: x - 1.0, xa, xb))
+
+
 def test_brentq_failures_are_convergence_errors():
     with pytest.raises(ConvergenceError, match="one sign"):
         _ode.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
@@ -82,7 +89,9 @@ def test_tableau_equals_scipy():
 
 
 def _both(*args, **kwargs):
-    return _ode.solve_ivp(*args, **kwargs), scipy_solve_ivp(*args, method="DOP853", **kwargs)
+    """Our run and SciPy's; ours always builds the dense output SciPy builds on request."""
+    return (_ode.solve_ivp(*args, **kwargs),
+            scipy_solve_ivp(*args, method="DOP853", dense_output=True, **kwargs))
 
 
 def _assert_same(ours, theirs, dense_at=None):
@@ -106,9 +115,14 @@ STATIONARY = [(ModelParams(1.0, 0.0, 1.0, 0.0), 0.0, (1.2, 0.0, 0.5), 100.0),
 
 @pytest.mark.parametrize("params, Omega, y0, span", STATIONARY)
 def test_t_eval_run_equals_scipy(params, Omega, y0, span):
+    # the stationary profile, sampled from the dense output, is SciPy's t_eval run
     ansatz = CoherentAnsatz(0.0, Omega)
-    _assert_same(*_both(lambda t, y: ode_rhs(y, params, ansatz), (0.0, span), list(y0),
-                        t_eval=np.linspace(0.0, span, 2000), rtol=1e-12, atol=1e-12))
+    ours = integrate_stationary(params, Omega, *y0, xi_span=span)
+    theirs = scipy_solve_ivp(lambda t, y: ode_rhs(y, params, ansatz), (0.0, span), list(y0),
+                             method="DOP853", t_eval=np.linspace(0.0, span, 2000), rtol=1e-12,
+                             atol=1e-12)
+    assert np.array_equal(ours.xi, theirs.t)
+    assert np.array_equal([ours.theta, ours.p, ours.q], theirs.y)
 
 
 @pytest.mark.parametrize("params, Omega, C", [
@@ -128,7 +142,7 @@ def test_directed_terminal_event_with_dense_output_and_max_step_equals_scipy(par
     turning.direction = -sgn
     ours, theirs = _both(lambda t, y: [y[1], pendulum_force(y[0], C, params, Omega)],
                          (0.0, 400.0), [ths + sgn * 1e-8, sgn * 1e-8], rtol=1e-12, atol=1e-12,
-                         events=turning, dense_output=True, max_step=0.5)
+                         events=turning, max_step=0.5)
     assert ours.status == 1
     _assert_same(ours, theirs, np.linspace(0.0, ours.t_events[0][0], 1000))
 
@@ -144,7 +158,7 @@ def test_event_with_dense_output_equals_scipy(params, Omega):
 
     qzero.terminal = True
     ours, theirs = _both(lambda t, y: ode_rhs(y, params, ansatz), (0.0, 30.0), [1.2, 0.0, 0.5],
-                         rtol=1e-11, atol=1e-11, events=qzero, dense_output=True)
+                         rtol=1e-11, atol=1e-11, events=qzero)
     _assert_same(ours, theirs, np.linspace(0.0, ours.t[-1], 1500))
 
 
@@ -166,15 +180,13 @@ def test_fast_front_shots_equal_scipy():
         ours, theirs = _both(
             lambda t, y: [sign * math.sin(y[0]) * slaved_fast_variables(params, ansatz, y[0])[0]],
             (0.0, 8000.0), [theta0 + into * 1e-8], rtol=1e-11, atol=1e-13,
-            events=near_target, dense_output=True)
+            events=near_target)
         assert ours.status == 1
         tau = np.linspace(0.0, ours.t_events[0][0], 3000)
         _assert_same(ours, theirs, tau[::-1] if sign < 0 else tau)
 
 
 def test_terminal_event_without_dense_output_equals_scipy():
-    # the event's root is found on a dense output built for that step only
-
     def falling(_, y):
         return y[1]
 
@@ -182,8 +194,17 @@ def test_terminal_event_without_dense_output_equals_scipy():
     falling.direction = -1
     ours, theirs = _both(lambda t, y: [y[1], -math.sin(y[0])], (0.0, 20.0), [0.1, 1.0],
                          rtol=1e-10, atol=1e-10, events=falling)
-    assert ours.status == 1 and ours.sol is None
+    assert ours.status == 1
     _assert_same(ours, theirs)
+
+
+def test_event_that_is_not_terminal_is_a_config_error():
+    def crossing(_, y):
+        return y[0]
+
+    with pytest.raises(ConfigError, match="one terminal event only"):
+        _ode.solve_ivp(lambda t, y: [-1.0], (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-10,
+                       events=crossing)
 
 
 def test_failed_run_reports_scipy_status_and_nfev():

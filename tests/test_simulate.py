@@ -20,7 +20,8 @@ from llgs import (
 from llgs.coherent import CoherentAnsatz, CoherentProfile
 from llgs.errors import BlowupError, CFLError, CommensurabilityError, ConfigError
 from llgs.model import _ll_rhs, energy, rotate_about_e3, second_derivative
-from llgs.simulate import _STEPPERS, Trajectory, _project, cfl_limit, mode_amplitudes
+from llgs.simulate import (_STEPPERS, Trajectory, _perturb, _project, cfl_limit,
+                           mode_amplitudes)
 from llgs.wavetrains import wavetrain_field
 
 from conftest import random_params, random_smooth_field, signed_zero_field
@@ -187,6 +188,13 @@ def test_negative_noise_amplitude_is_config_error():
     spec = PerturbationSpec(kind="noise", amplitude=-1e-3, seed=11)
     with pytest.raises(ConfigError, match="noise amplitude must be non-negative"):
         build_wavetrain_initial(wavetrain_at(PARAMS, 0.0), grid, spec)
+
+
+def test_negative_noise_seed_is_config_error():
+    fld = MagnetizationField(Grid1D(2 * np.pi, 64), np.tile([0.0, 0.0, 1.0], (64, 1)))
+    spec = PerturbationSpec(kind="noise", amplitude=1e-3, seed=-1)
+    with pytest.raises(ConfigError, match="noise seed must be non-negative"):
+        _perturb(fld, spec)
 
 
 def test_measure_growth_rate_on_synthetic_signal():

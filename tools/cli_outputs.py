@@ -80,6 +80,11 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
     ("s-inf", ["coherent", "--mode", "small-amplitude", *MODEL, "--s", "inf"], None),
     ("noise-negative", ["simulate", "--alpha", "1", "--initial", "e3", "--perturbation", "noise",
                         "--amplitude", "-1", "--t-final", "0.05"], None),
+    ("seed-negative", ["simulate", "--alpha", "1", "--initial", "e3", "--perturbation", "noise",
+                       "--amplitude", "0.1", "--seed", "-1", "--t-final", "0.05"], None),
+    # the constant-state fallback has no comoving frame
+    ("spectrum-e3-c-ph", ["spectrum", "--alpha", "1", "--mu", "-1", "--h", "2", "--k", "0",
+                          "--n-samples", "3", "--c-ph", "5"], None),
     # exit 3: a numerical failure
     ("speed-too-low", ["coherent", "--mode", "small-amplitude", "--alpha", "1", "--mu", "1",
                        "--h", "0.5", "--s", "0.01"], None),

@@ -13,7 +13,7 @@ kernel's f holds signed zeros, 300 RK4 steps on a non-periodic grid,
 and `energy` ("fd" and "spectral") of F-ordered, strided and non-periodic
 fields, `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
 on a wavetrain, the cohex homoclinic profile and a lifted fast front, two
-`integrate_stationary` profiles (the integrator's t_eval path), two
+`integrate_stationary` profiles (sampled from the dense output), two
 `monotone_drift_check` runs (its terminal event with dense output; the event
 stops one of them), and a portrait sweep: the equilibria, connections and
 homoclinic saddle of the stationary reduction on the phaseplane, cohex and
@@ -195,7 +195,7 @@ def compute() -> dict:
     _verification("verify-fast.", verify_coherent_profile(coherent.lift_to_ode(front.profile),
                                                           params, window=0.01), out)
 
-    # the integrator's t_eval path and its event plus dense-output path
+    # profiles sampled from the integrator's dense output, with and without an event
     for name, (model, Omega, y0) in {"a": ((1.0, 0.0, 1.0, 0.0), 0.0, (1.2, 0.0, 0.5)),
                                      "b": ((0.7, -0.3, -2.5, 1.3), -0.3 / 0.7, (2.0, -0.1, 0.8))
                                      }.items():
