@@ -141,25 +141,26 @@ def _spectral(method: str) -> bool:
     return method == "spectral"
 
 
+def _fourier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier `symbol` (one entry per wavenumber) applied along axis 0."""
+    if values.ndim > 1:
+        symbol = symbol[:, None]
+    return np.real(np.fft.ifft(symbol * np.fft.fft(values, axis=0), axis=0))
+
+
 def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
     """d/dx along axis 0, central differences or spectral (periodic only)."""
     if _spectral(method):
-        iq = 1j * grid.wavenumbers()
-        if values.ndim > 1:
-            iq = iq[:, None]
-        return np.real(np.fft.ifft(iq * np.fft.fft(values, axis=0), axis=0))
-    dx = grid.dx
+        return _fourier(values, 1j * grid.wavenumbers())
+    if not grid.periodic:
+        # central inside, one-sided at the ends
+        return np.gradient(values, grid.dx, axis=0)
     out = np.empty_like(values)
-    if grid.periodic:
-        # v[i+1] - v[i-1], wrapping around; bit-equal to the np.roll stencil
-        np.subtract(values[2:], values[:-2], out=out[1:-1])
-        np.subtract(values[1:2], values[-1:], out=out[:1])
-        np.subtract(values[:1], values[-2:-1], out=out[-1:])
-        out /= 2 * dx
-    else:
-        out[1:-1] = (values[2:] - values[:-2]) / (2 * dx)
-        out[0] = (values[1] - values[0]) / dx
-        out[-1] = (values[-1] - values[-2]) / dx
+    # v[i+1] - v[i-1], wrapping around; bit-equal to the np.roll stencil
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    np.subtract(values[1:2], values[-1:], out=out[:1])
+    np.subtract(values[:1], values[-2:-1], out=out[-1:])
+    out /= 2 * grid.dx
     return out
 
 
@@ -211,10 +212,7 @@ class _Laplacian:
 def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
     """d^2/dx^2 along axis 0, 3-point stencil or spectral (periodic only)."""
     if _spectral(method):
-        q2 = grid.wavenumbers() ** 2
-        if values.ndim > 1:
-            q2 = q2[:, None]
-        return np.real(np.fft.ifft(-q2 * np.fft.fft(values, axis=0), axis=0))
+        return _fourier(values, -grid.wavenumbers() ** 2)
     values = np.ascontiguousarray(values)  # the stencil shifts flat memory
     out = np.empty_like(values)
     # the transposes put axis 0 last; a 1-D array is its own transpose
@@ -308,17 +306,16 @@ def to_spherical(fld: MagnetizationField) -> SphericalField:
     """Convert to spherical angles; phi is unwrapped along the grid.
 
     At the poles (sin(theta) ~ 0) phi is undefined and continued from the
-    previous grid point.
+    previous grid point; before the first point off the poles it is 0.
     """
     m = fld.values
     theta = np.arccos(np.clip(m[:, 2], -1.0, 1.0))
-    r = np.hypot(m[:, 0], m[:, 1])
+    pole = np.hypot(m[:, 0], m[:, 1]) < POLE_TOL
+    # a pole repeats the raw azimuth of the last point off the poles before it, so the
+    # unwrap takes the step across the pole between two points where phi is defined
+    last = np.maximum.accumulate(np.where(pole, -1, np.arange(len(m))))
     phi_raw = np.arctan2(m[:, 1], m[:, 0])
-    degenerate = r < POLE_TOL
-    phi = np.unwrap(np.where(degenerate, 0.0, phi_raw))
-    # continuation through the poles
-    for i in np.flatnonzero(degenerate):
-        phi[i] = phi[i - 1] if i > 0 else 0.0
+    phi = np.unwrap(np.where(last < 0, 0.0, phi_raw[last]))
     return SphericalField(fld.grid, theta, phi, fld.time)
 
 

@@ -1,16 +1,16 @@
-"""Direct PDE integration of the LLGS equation on a 1D grid.
+"""Direct PDE integration of the LLGS equation on a periodic 1D grid.
 
-Method of lines with a 3-point Laplacian.  Two time steppers: classical RK4
-with per-step projection to the sphere (convergence studies), and a linearly
+Method of lines with a 3-point Laplacian, projected to the sphere after every
+step.  Two time steppers: classical RK4 (convergence studies), and a linearly
 implicit scheme treating the stiff diffusion alpha/(1+alpha^2) d_xx
 implicitly via FFT (production runs, no dx^2 step barrier).  Used to
 cross-validate wavetrain frequency, sideband growth rates and coherent
 profiles against the analytical modules.
 
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
-row per component.  Each stepper factory rejects what it cannot step (RK4 a
-dt above `cfl_limit`, the semi-implicit scheme a non-periodic grid), then
-builds its buffers, `model._LLKernel` and `model._Laplacian` once; a step
+row per component.  `SimConfig.validate` rejects a non-periodic grid and the
+RK4 factory a dt above `cfl_limit`, before any buffer is built; each factory
+then builds its buffers, `model._LLKernel` and `model._Laplacian` once; a step
 advances the state in place with ufuncs that write to those buffers (their
 output passed positionally, as in `model`), allocates no array, and is
 bit-equal to the (n, 3) formulas.  `simulate` transposes only at entry, when
@@ -62,7 +62,6 @@ class SimConfig:
     dt: float
     t_final: float
     integrator: str = "semi-implicit"  # or "rk4"
-    renormalize: bool = True
     diag_every: int = 10  # steps between diagnostic records
     store_every: int = 100  # steps between stored snapshots
 
@@ -82,6 +81,8 @@ class SimConfig:
         make_step = _STEPPERS.get(self.integrator)
         if make_step is None:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
+        if not grid.periodic:
+            raise ConfigError("simulate needs a periodic grid; its ends have no boundary condition")
         return make_step(grid, params, self.dt)
 
 
@@ -116,12 +117,10 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
 
     c = alpha/(1+alpha^2) is the ellipticity constant; the inverse uses the
     exact Fourier symbol of the discrete 3-point Laplacian, so the split is
-    consistent with the explicit stencil; its FFT needs a periodic grid.
+    consistent with the explicit stencil on the periodic grid.
     The step advances a (3, n) field in place, transforming along its rows;
     the kernel, the stencil and the buffers are allocated here, once.
     """
-    if not grid.periodic:
-        raise ConfigError("the semi-implicit step's FFT needs a periodic grid")
     n, dx2 = grid.n, grid.dx ** 2
     j = np.arange(n)
     symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / dx2
@@ -193,8 +192,8 @@ def _rk4(grid: Grid1D, params: ModelParams, dt: float):
     return step
 
 
-# SimConfig.integrator -> factory (grid, params, dt) -> step(m), in place on (3, n);
-# each factory rejects a grid or dt it cannot step before it allocates
+# SimConfig.integrator -> factory (grid, params, dt) -> step(m), in place on (3, n),
+# for a periodic grid; RK4's rejects a dt above cfl_limit before it allocates
 _STEPPERS = {"rk4": _rk4, "semi-implicit": _semi_implicit}
 
 
@@ -206,16 +205,17 @@ class SimResult:
 
 
 def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig) -> SimResult:
-    """Advance the field to t_final, recording diagnostics and snapshots.
+    """Advance the field to t_final, projected to the sphere after every step.
 
-    Both are taken at the start, every diag_every (store_every) steps and at
-    the end, so store_every = sys.maxsize keeps only the first and last states.
+    Diagnostics (snapshots) are taken at the start, every diag_every
+    (store_every) steps and at the end, so store_every = sys.maxsize keeps
+    only the first and last states.
     """
     grid = initial.grid
     step_fn = config.validate(grid, params)
     m = initial.values.T.copy()  # the (3, n) state, stepped in place
     norm, sq, finite = np.empty(grid.n), np.empty((3, grid.n)), np.empty((3, grid.n), bool)
-    t0, dt, renormalize = initial.time, config.dt, config.renormalize
+    t0, dt = initial.time, config.dt
     diag_every, store_every = config.diag_every, config.store_every
     n_steps = int(round(config.t_final / dt))
 
@@ -237,8 +237,7 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
     t = t0
     for step in range(1, n_steps + 1):
         step_fn(m)
-        if renormalize:
-            _normalize(m, m, norm, sq)
+        _normalize(m, m, norm, sq)
         recording = step % diag_every == 0 or step == n_steps
         storing = step % store_every == 0 or step == n_steps
         if recording or storing:

@@ -149,6 +149,22 @@ def test_non_periodic_stencils_equal_slice_formulas_bitwise(rng, n):
         assert np.array_equal(second_derivative(v, grid), d2)
 
 
+@pytest.mark.parametrize("n", [3, 64, 128])
+def test_spectral_derivatives_equal_previous_expressions_bytewise(rng, n):
+    # the multipliers i q and -q^2 on the FFT along axis 0, each written out in full
+    grid = Grid1D(2 * np.pi, n)
+    q = grid.wavenumbers()
+    for field in (random_smooth_field(rng, grid).values, signed_zero_field(rng, n)):
+        for v in (field, field[:, 0].copy()):  # (n, 3) and 1-D input
+            iq, q2 = 1j * q, q ** 2
+            if v.ndim > 1:
+                iq, q2 = iq[:, None], q2[:, None]
+            d1 = np.real(np.fft.ifft(iq * np.fft.fft(v, axis=0), axis=0))
+            d2 = np.real(np.fft.ifft(-q2 * np.fft.fft(v, axis=0), axis=0))
+            assert first_derivative(v, grid, "spectral").tobytes() == d1.tobytes()
+            assert second_derivative(v, grid, "spectral").tobytes() == d2.tobytes()
+
+
 @pytest.mark.parametrize("periodic", [True, False])
 def test_second_derivative_of_strided_input_equals_contiguous_bytewise(rng, periodic):
     # the stencil shifts flat memory, so a column view or an F-ordered field must not mislead it
@@ -185,6 +201,18 @@ def test_to_spherical_continues_phi_through_pole(grid):
     sph = to_spherical(fld)
     assert np.all(np.isfinite(sph.phi))
     assert sph.phi[1] == sph.phi[0]  # continued, not reset
+
+
+def test_to_spherical_unwraps_phi_across_a_pole():
+    # the turn from 2.9 to 3.18 crosses the branch cut at pi right after the pole
+    from llgs import SphericalField
+
+    grid = Grid1D(1.0, 5)
+    phi = np.array([2.9, 0.0, 3.18, 3.3, 3.4])
+    fld = from_spherical(SphericalField(grid, np.array([1.0, 0.0, 1.0, 1.0, 1.0]), phi))
+    sph = to_spherical(fld)
+    assert np.max(np.abs(sph.phi - [2.9, 2.9, 3.18, 3.3, 3.4])) < 1e-12
+    assert np.max(np.abs(local_wavenumber(sph))) < 2.0
 
 
 def test_local_wavenumber_of_helix(grid):

@@ -45,7 +45,8 @@ def test_semi_implicit_on_non_periodic_grid_is_config_error():
     grid = Grid1D(2 * np.pi, 64, periodic=False)
     with pytest.raises(ConfigError):
         SimConfig(dt=1e-4, t_final=1.0).validate(grid, PARAMS)
-    SimConfig(dt=1e-4, t_final=1.0, integrator="rk4").validate(grid, PARAMS)
+    with pytest.raises(ConfigError):
+        SimConfig(dt=1e-4, t_final=1.0, integrator="rk4").validate(grid, PARAMS)
 
 
 def test_commensurability_enforced():
@@ -102,12 +103,11 @@ def test_wavetrain_is_relative_equilibrium():
 def test_dt_convergence_order_rk4(rng):
     grid = Grid1D(2 * np.pi, 16)
     initial = random_smooth_field(rng, grid)
-    ref = simulate(initial, PARAMS, SimConfig(dt=1e-4, t_final=0.2, integrator="rk4",
-                                              renormalize=False)).final.values
+    ref = simulate(initial, PARAMS, SimConfig(dt=1e-4, t_final=0.2, integrator="rk4")).final.values
     errs = []
     for dt in (0.02, 0.01):
-        out = simulate(initial, PARAMS, SimConfig(dt=dt, t_final=0.2, integrator="rk4",
-                                                  renormalize=False)).final.values
+        config = SimConfig(dt=dt, t_final=0.2, integrator="rk4")
+        out = simulate(initial, PARAMS, config).final.values
         errs.append(np.max(np.abs(out - ref)))
     order = math.log2(errs[0] / errs[1])
     assert abs(order - 4.0) < 0.2
@@ -346,13 +346,21 @@ def test_simulate_equals_n3_reference_bitwise(rng, integrator, n):
         _assert_equals_reference(initial, params, config)
 
 
-def test_rk4_on_non_periodic_grid_equals_n3_reference_bitwise(rng):
-    # the ends take second_derivative's one-sided stencil
-    grid = Grid1D(2 * np.pi, 64, periodic=False)
-    initial = random_smooth_field(rng, grid)
+def test_rk4_on_non_periodic_grid_is_config_error(monkeypatch):
+    # an exact k = 2 wavetrain: with the one-sided ends stepped, 300 steps took E from
+    # 13.29 to 19.89 and moved the end points by 1.74, while the periodic run keeps E
+    grid = Grid1D(2 * np.pi, 101, periodic=False)
+    initial = build_wavetrain_initial(wavetrain_at(PARAMS, 2.0), grid)
     dt = 0.5 * cfl_limit(grid, PARAMS)
-    config = SimConfig(dt=dt, t_final=200 * dt, integrator="rk4", diag_every=7, store_every=30)
-    _assert_equals_reference(initial, PARAMS, config)
+    config = SimConfig(dt=dt, t_final=300 * dt, integrator="rk4", diag_every=20)
+
+    def no_factory(*args):
+        raise AssertionError("a stepper was built for a non-periodic grid")
+
+    for integrator in _STEPPERS:
+        monkeypatch.setitem(_STEPPERS, integrator, no_factory)
+    with pytest.raises(ConfigError, match="periodic grid"):
+        simulate(initial, PARAMS, config)
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "semi-implicit"])
@@ -379,12 +387,11 @@ def test_snapshots_own_their_memory(rng, integrator):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("case", ["rk4", "semi-implicit", "rk4-non-periodic"])
-def test_steppers_equal_n3_reference_bytewise_at_shortest_views(rng, case, n):
+@pytest.mark.parametrize("integrator", ["rk4", "semi-implicit"])
+def test_steppers_equal_n3_reference_bytewise_at_shortest_views(rng, integrator, n):
     # n = 3 and 4 make the stencil's shifted, wrap-around and end views shortest;
     # bytes, not values, so that a signed zero counts
-    integrator = case.removesuffix("-non-periodic")
-    grid = Grid1D(2 * np.pi, n, periodic=not case.endswith("non-periodic"))
+    grid = Grid1D(2 * np.pi, n)
     p = random_params(rng)
     for params in (p, ModelParams(p.alpha)):  # beta = mu = h = 0: f is made of signed zeros
         dt = 0.5 * cfl_limit(grid, params)

@@ -8,9 +8,10 @@ The first form imports llgs from the source tree SRC and saves the results of
 problems and off their grid sizes (semi-implicit at n = 96, which is not a
 power of two, and 300 RK4 steps at n = 4096), the equilibrium preset's run
 (beta = 0, an exact +e3 field) and 300 RK4 steps with beta = 0, where the
-kernel's f holds signed zeros, 300 RK4 steps on a non-periodic grid,
-`second_derivative` on non-periodic grids (1-D and (n, 3) input), `norm_drift`
-and `energy` ("fd" and "spectral") of F-ordered, strided and non-periodic
+kernel's f holds signed zeros, `second_derivative` on non-periodic grids and
+both spectral derivatives at n = 64 (1-D and (n, 3) input), `to_spherical`'s
+phi and `local_wavenumber` of fields with pole points, `norm_drift` and
+`energy` ("fd" and "spectral") of F-ordered, strided and non-periodic
 fields, `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
 on a wavetrain, the cohex homoclinic profile and a lifted fast front, two
 `integrate_stationary` profiles (sampled from the dense output), two
@@ -98,7 +99,9 @@ def _portrait_sweep(out):
 
 def compute() -> dict:
     from llgs import coherent
-    from llgs.model import Grid1D, MagnetizationField, ModelParams, energy, second_derivative
+    from llgs.model import (Grid1D, MagnetizationField, ModelParams, SphericalField, energy,
+                            first_derivative, from_spherical, local_wavenumber,
+                            second_derivative, to_spherical)
     from llgs.simulate import (PerturbationSpec, SimConfig, _perturb, build_wavetrain_initial,
                                cfl_limit, mode_amplitudes, simulate, verify_coherent_profile)
     from llgs.wavetrains import wavetrain_at
@@ -147,19 +150,27 @@ def compute() -> dict:
     _run("rk4-zero-beta.", simulate(initial, zero_beta, SimConfig(
         dt=dt, t_final=300 * dt, integrator="rk4", diag_every=20, store_every=100)), out)
 
-    # a non-periodic grid, whose ends take the one-sided stencil
-    grid = Grid1D(2 * math.pi, 101, periodic=False)
-    initial = build_wavetrain_initial(wavetrain_at(params, 2.0), grid,
-                                      PerturbationSpec("noise", amplitude=1e-2, seed=13))
-    dt = 0.5 * cfl_limit(grid, params)
-    _run("rk4-non-periodic.", simulate(initial, params, SimConfig(
-        dt=dt, t_final=300 * dt, integrator="rk4", diag_every=20, store_every=100)), out)
+    # the one-sided ends of a non-periodic grid, and the spectral derivatives
     rng = np.random.default_rng(17)
     for n in (16, 64, 257):
         grid = Grid1D(2 * math.pi, n, periodic=False)
         values = rng.normal(size=(n, 3))
         out[f"second-derivative-non-periodic.n{n}"] = second_derivative(values, grid)
         out[f"second-derivative-non-periodic.n{n}-1d"] = second_derivative(values[:, 0], grid)
+    grid = Grid1D(2 * math.pi, 64)
+    values = np.random.default_rng(23).normal(size=(64, 3))
+    for name, derivative in (("first", first_derivative), ("second", second_derivative)):
+        out[f"{name}-derivative-spectral.n64"] = derivative(values, grid, "spectral")
+        out[f"{name}-derivative-spectral.n64-1d"] = derivative(values[:, 0], grid, "spectral")
+
+    # phi across the poles: a turn over the branch cut right after a pole point,
+    # and a field whose first point is a pole
+    grid = Grid1D(1.0, 5)
+    for name, theta, phi in (("crossing", [1.0, 0.0, 1.0, 1.0, 1.0], [2.9, 0.0, 3.18, 3.3, 3.4]),
+                             ("first-pole", [0.0, 1.0, 1.0, 0.0, 1.0], [0.0, 3.0, -3.0, 0.0, -2.9])):
+        sph = to_spherical(from_spherical(SphericalField(grid, np.array(theta), np.array(phi))))
+        out[f"spherical-{name}.phi"] = sph.phi
+        out[f"spherical-{name}.local_wavenumber"] = local_wavenumber(sph)
 
     # energy and norm_drift on the input layouts simulate never passes them: F-ordered,
     # strided and non-periodic fields, one far off the sphere and one just off it
