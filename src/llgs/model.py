@@ -285,9 +285,6 @@ class MagnetizationField:
         if drift > tol:
             raise ConfigError(f"field is not unit-norm: max drift {drift:.3e}")
 
-    def renormalized(self) -> "MagnetizationField":
-        return MagnetizationField(self.grid, _project(self.values), self.time)
-
 
 @dataclass
 class SphericalField:

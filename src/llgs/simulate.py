@@ -2,23 +2,25 @@
 
 Method of lines with a 3-point Laplacian, projected to the sphere after every
 step.  Two time steppers: classical RK4 (convergence studies), and a linearly
-implicit scheme treating the stiff diffusion alpha/(1+alpha^2) d_xx
-implicitly via FFT (production runs, no dx^2 step barrier).  Used to
-cross-validate wavetrain frequency, sideband growth rates and coherent
+implicit scheme, m <- m + P(dt*rhs(m)) with P = (I - dt*c*Lap)^{-1}, treating
+the stiff diffusion c d_xx, c = alpha/(1+alpha^2), implicitly (production
+runs, no dx^2 step barrier).  Up to DENSE_MAX_N points it applies the
+Laplacian and P as dense matrices, above it the stencil and the FFT.  Used
+to cross-validate wavetrain frequency, sideband growth rates and coherent
 profiles against the analytical modules.
 
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
 row per component.  `SimConfig.validate` rejects a non-periodic grid and the
 RK4 factory a dt above `cfl_limit`, before any buffer is built; each factory
-then builds its buffers, `model._LLKernel` and `model._Laplacian` once; a step
-advances the state in place with ufuncs that write to those buffers (their
-output passed positionally, as in `model`), allocates no array, and is
-bit-equal to the (n, 3) formulas.  `simulate` transposes only at entry, when
-it records diagnostics or a snapshot, and at exit; everything it returns is
-(n, 3).  Its loop reads the config once and takes the time of a step only
-when it records or stores; a record tests finiteness and takes the norm drift
-on the (3, n) state, into scratch allocated once, and the energy and phi0
-from the (n, 3) copy.
+then builds its buffers, `model._LLKernel` and its linear operators once; a
+step advances the state in place with ufuncs and matmuls that write to those
+buffers (their output passed positionally, as in `model`), allocates no
+array, and is bit-equal to the (n, 3) formulas.  `simulate` transposes only
+at entry, when it records diagnostics or a snapshot, and at exit; everything
+it returns is (n, 3).  Its loop reads the config once and takes the time of
+a step only when it records or stores; a record tests finiteness and takes
+the norm drift on the (3, n) state, into scratch allocated once, and the
+energy and phi0 from the (n, 3) copy.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import (
     _project,
     _unit_vectors,
     energy,
+    second_derivative,
 )
 from .wavetrains import Wavetrain, wavetrain_field
 
@@ -49,6 +52,10 @@ CFL_SAFETY = 0.25
 # domain, since periodic wrap-around pollutes the edges.
 DEFECT_THRESHOLD = 1e-2
 DEFECT_INTERIOR = 0.6
+# the largest n at which the semi-implicit step applies its Laplacian and implicit
+# solve as dense (n, n) matmuls, not the stencil and the FFT: the dense step was the
+# faster up to n = 192 and the slower at 256 (BENCH_pde_dense.json)
+DENSE_MAX_N = 192
 
 
 def cfl_limit(grid: Grid1D, params: ModelParams) -> float:
@@ -112,44 +119,74 @@ class Trajectory:
     values: np.ndarray
 
 
-def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
-    """Step m_{n+1} = (I - dt*c*Lap)^{-1} (m_n + dt*(rhs - c*Lap m_n)).
+def _dense_operators(grid: Grid1D, denominator: np.ndarray):
+    """The 3-point Laplacian L and P = F^-1 diag(1/denominator) F as dense (n, n) matrices.
 
-    c = alpha/(1+alpha^2) is the ellipticity constant; the inverse uses the
-    exact Fourier symbol of the discrete 3-point Laplacian, so the split is
-    consistent with the explicit stencil on the periodic grid.
-    The step advances a (3, n) field in place, transforming along its rows;
-    the kernel, the stencil and the buffers are allocated here, once.
+    L is the stencil applied to the identity, so its entries are exactly
+    1/dx^2, -2/dx^2 and 0.  P is circulant, P[i, j] = p[(i - j) mod n], with p
+    the inverse FFT of 1/denominator, so it is the operator the FFT path
+    applies.  Both are returned transposed and C-contiguous: a (3, n) state x
+    maps to x @ L.T and x @ P.T, one matmul each.
     """
-    n, dx2 = grid.n, grid.dx ** 2
-    j = np.arange(n)
-    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / n)) / dx2
+    j = np.arange(grid.n)
+    p = np.fft.ifft(1.0 / denominator).real
+    return (np.ascontiguousarray(second_derivative(np.eye(grid.n), grid).T),
+            p[(j[None, :] - j[:, None]) % grid.n])
+
+
+def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
+    """Step m_{n+1} = m_n + P (dt * rhs(m_n)), with P = (I - dt*c*Lap)^{-1}.
+
+    c = alpha/(1+alpha^2) is the ellipticity constant.  In exact arithmetic
+    this is P (m_n + dt*(rhs - c*Lap m_n)), as P (I - dt*c*Lap) m_n = m_n.  P
+    uses the exact Fourier symbol of the periodic 3-point Laplacian, so the
+    split is consistent with the stencil.  At n <= DENSE_MAX_N the step
+    applies the Laplacian and P as dense matrices (`_dense_operators`), one
+    matmul each on the (3, n) state; above it, the stencil and an FFT along
+    the rows that divides by the symbol.  The step advances a (3, n) field in
+    place; the kernel, the operators and the buffers are built here, once.
+    """
+    n = grid.n
+    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / grid.dx ** 2
     c = params.alpha / (1.0 + params.alpha ** 2)
-    # complex and (3, n), so dividing by it neither casts nor buffers
-    denominator = np.tile(1.0 - dt * c * symbol, (3, 1)).astype(complex)
-    c, dt = np.array(c), np.array(dt)  # 0-d, as in model._Laplacian
+    denominator = 1.0 - dt * c * symbol
+    dt = np.array(dt)  # 0-d, as in model._Laplacian
     kernel = _LLKernel(n, params)
     x = kernel.m.rows
     lap, k = np.empty((3, n)), np.empty((3, n))
+
+    if n <= DENSE_MAX_N:
+        lap_t, solve_t = _dense_operators(grid, denominator)
+
+        def step(m: np.ndarray):
+            x[...] = m
+            np.matmul(x, lap_t, lap)
+            kernel.rhs(lap, k)
+            np.multiply(k, dt, k)
+            m += np.matmul(k, solve_t, lap)  # the Laplacian is spent
+
+        return step
+
+    # complex and (3, n), so dividing by it neither casts nor buffers
+    denominator = np.tile(denominator, (3, 1)).astype(complex)
     laplacian = _Laplacian(x, grid, lap, k)
     # the FFT's input (its imaginary part stays 0), spectrum and output
     signal, spectrum, back = (np.zeros((3, n), complex) for _ in range(3))
-    back_real = back.real
-    # 1-D views, as a ufunc with a strided 2-D output needs the allocating general
+    # 1-D views, as a ufunc with a strided 2-D operand needs the allocating general
     # iterator; x holds a copy of m until the step's end
-    flat_x, flat_k, flat_signal_real = (a.reshape(-1) for a in (x, k, signal.real))
+    flat_x, flat_k, flat_signal_real, flat_back_real = (
+        a.reshape(-1) for a in (x, k, signal.real, back.real))
 
     def step(m: np.ndarray):
         x[...] = m
         laplacian()
         kernel.rhs(lap, k)
-        np.subtract(k, np.multiply(lap, c, lap), k)  # rhs - c Lap m
-        np.multiply(k, dt, k)
-        np.add(flat_x, flat_k, flat_signal_real)  # m + dt k
+        np.multiply(flat_k, dt, flat_signal_real)
         np.fft.fft(signal, axis=1, out=spectrum)
         np.divide(spectrum, denominator, spectrum)
         np.fft.ifft(spectrum, axis=1, out=back)
-        m[...] = back_real
+        np.add(flat_x, flat_back_real, flat_x)  # m + back.real, on 1-D views
+        m[...] = x
 
     return step
 

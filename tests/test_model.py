@@ -385,10 +385,3 @@ def test_stereographic_of_equator(grid):
 def test_field_shape_validation(grid):
     with pytest.raises(ValueError):
         MagnetizationField(grid, np.zeros((grid.n, 2)))
-
-
-def test_renormalized_restores_unit_norm(grid):
-    values = 2.0 * np.tile([0.0, 1.0, 0.0], (grid.n, 1))
-    fld = MagnetizationField(grid, values)
-    assert fld.norm_drift() == 1.0
-    assert fld.renormalized().norm_drift() < 1e-15

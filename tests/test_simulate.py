@@ -20,8 +20,8 @@ from llgs import (
 from llgs.coherent import CoherentAnsatz, CoherentProfile
 from llgs.errors import BlowupError, CFLError, CommensurabilityError, ConfigError
 from llgs.model import _ll_rhs, energy, rotate_about_e3, second_derivative
-from llgs.simulate import (_STEPPERS, Trajectory, _perturb, _project, cfl_limit,
-                           mode_amplitudes)
+from llgs.simulate import (DENSE_MAX_N, _STEPPERS, Trajectory, _dense_operators, _perturb,
+                           _project, cfl_limit, mode_amplitudes)
 from llgs.wavetrains import wavetrain_field
 
 from conftest import random_params, random_smooth_field, signed_zero_field
@@ -264,12 +264,27 @@ def test_sideband_initial_of_zero_amplitude_is_the_wavetrain(lower_branch):
     assert np.max(np.abs(fld.values - wavetrain_field(wt, grid).values)) < 1e-15
 
 
-def _reference_steps(grid, params, dt):
-    """The (n, 3) RK4 and semi-implicit steps, each returning a new array."""
-    j = np.arange(grid.n)
-    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * j / grid.n)) / grid.dx ** 2
+def _symbol_denominator(grid, params, dt):
+    """1 - dt*c*symbol, the exact symbol of I - dt*c*Lap on the periodic 3-point stencil."""
+    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(grid.n) / grid.n)) / grid.dx ** 2
     c = params.alpha / (1.0 + params.alpha ** 2)
-    denominator = (1.0 - dt * c * symbol)[:, None]
+    return 1.0 - dt * c * symbol
+
+
+def _reference_steps(grid, params, dt):
+    """The (n, 3) RK4 and semi-implicit steps, each returning a new array.
+
+    The semi-implicit step is m + P(dt * rhs), P = (I - dt*c*Lap)^{-1}.  At n <= DENSE_MAX_N
+    it applies L and P as dense matrices to C-contiguous (3, n) copies, in the stepper's
+    layout; above, P by the FFT along axis 0.
+    """
+    n = grid.n
+    denominator = _symbol_denominator(grid, params, dt)
+    if n <= DENSE_MAX_N:
+        j = np.arange(n)
+        lap_t = np.ascontiguousarray(second_derivative(np.eye(n), grid).T)
+        p = np.fft.ifft(1.0 / denominator).real
+        solve_t = p[(j[None, :] - j[:, None]) % n]
 
     def rhs(m):
         return _ll_rhs(m, second_derivative(m, grid), params)
@@ -282,17 +297,37 @@ def _reference_steps(grid, params, dt):
         return m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def semi_implicit(m):
+        if n > DENSE_MAX_N:
+            update = np.fft.ifft(np.fft.fft(dt * rhs(m), axis=0) / denominator[:, None], axis=0)
+            return m + np.real(update)
+        lap = np.ascontiguousarray(m.T) @ lap_t
+        update = np.ascontiguousarray((dt * _ll_rhs(m, lap.T, params)).T) @ solve_t
+        return m + update.T
+
+    return {"rk4": rk4, "semi-implicit": semi_implicit}
+
+
+def _previous_semi_implicit(grid, params, dt):
+    """The semi-implicit step in its earlier form, P(m + dt*(rhs - c*Lap m)) by the FFT."""
+    denominator = _symbol_denominator(grid, params, dt)[:, None]
+    c = params.alpha / (1.0 + params.alpha ** 2)
+
+    def step(m):
         lap = second_derivative(m, grid)
         explicit = _ll_rhs(m, lap, params) - c * lap
         rhs_hat = np.fft.fft(m + dt * explicit, axis=0)
         return np.real(np.fft.ifft(rhs_hat / denominator, axis=0))
 
-    return {"rk4": rk4, "semi-implicit": semi_implicit}
+    return step
 
 
-def _reference_simulate(initial, params, config):
-    """simulate() written on (n, 3) arrays: diagnostics, snapshots and the final field."""
-    step_fn = _reference_steps(initial.grid, params, config.dt)[config.integrator]
+def _reference_simulate(initial, params, config, step_fn=None):
+    """simulate() written on (n, 3) arrays: diagnostics, snapshots and the final field.
+
+    step_fn, when given, replaces the config's reference step.
+    """
+    if step_fn is None:
+        step_fn = _reference_steps(initial.grid, params, config.dt)[config.integrator]
     m = initial.values.copy()
     n_steps = int(round(config.t_final / config.dt))
     times, drifts, energies, phis = [], [], [], []
@@ -331,9 +366,11 @@ def _assert_equals_reference(initial, params, config):
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "semi-implicit"])
-@pytest.mark.parametrize("n", [16, 96, 1024])
+@pytest.mark.parametrize("n", [16, 96, 200, 1024])
 def test_simulate_equals_n3_reference_bitwise(rng, integrator, n):
-    # n = 96 is not a power of two, so the row-wise FFT takes another path
+    # n = 96 and 200 are not powers of two, so the row-wise FFT takes another path; the
+    # semi-implicit step applies dense operators at 16 and 96, and the FFT at 200 and 1024
+    assert 96 <= DENSE_MAX_N < 200
     grid = Grid1D(2 * np.pi, n)
     for zero_beta in (False, True):
         p = random_params(rng)
@@ -435,3 +472,66 @@ def test_steps_allocate_no_array(rng, integrator):
         allowed += _peak_bytes(lambda: (np.fft.fft(signal, axis=1, out=spectrum),
                                         np.fft.ifft(spectrum, axis=1, out=signal)))
     assert _peak_bytes(lambda: step(m)) < allowed
+
+
+def test_dense_step_allocates_no_array(rng):
+    # a (3, n) temporary would take 1.5 KB at n = 64; np.matmul's own call allocates a
+    # few small objects whatever the shapes, measured here on the step's shapes
+    grid = Grid1D(2 * np.pi, 64)
+    assert grid.n <= DENSE_MAX_N
+    step = _STEPPERS["semi-implicit"](grid, PARAMS, 0.005)
+    m = random_smooth_field(rng, grid).values.T.copy()
+    a, b, out = np.ones((3, grid.n)), np.ones((grid.n, grid.n)), np.empty((3, grid.n))
+    allowed = 256 + _peak_bytes(lambda: np.matmul(a, b, out))
+    assert _peak_bytes(lambda: step(m)) < allowed
+
+
+@pytest.mark.parametrize("n", [3, 4, 16, 64, 96, DENSE_MAX_N])
+def test_dense_operators_equal_fft_and_stencil_to_stated_ulp(rng, n):
+    # measured worst over 1800 random cases at n <= 192: 7 ulp for P, 8 for L
+    grid = Grid1D(rng.uniform(0.5, 50.0), n)
+    for _ in range(20):
+        params = ModelParams(rng.uniform(0.1, 3.0))
+        denominator = _symbol_denominator(grid, params, 10 ** rng.uniform(-4, 0))
+        lap_t, solve_t = _dense_operators(grid, denominator)
+        y = rng.normal(size=(3, n)) * 10 ** rng.uniform(-6, 2)
+        # P: in ulp of max |y|, as P has nonnegative entries and unit row sums
+        fft = np.fft.ifft(np.fft.fft(y, axis=1) / denominator, axis=1).real
+        assert np.abs(y @ solve_t - fft).max() <= 16 * np.spacing(np.abs(y).max())
+        # L: in ulp of max |y| / dx^2, the scale of the stencil's terms
+        stencil = second_derivative(y.T, grid).T
+        ulp = np.spacing(np.abs(y).max() / grid.dx ** 2)
+        assert np.abs(y @ lap_t - stencil).max() <= 16 * ulp
+    # the entries are exact, and a constant whose products with them are exact (the
+    # +e3 or -e3 state, or a power of two) gives 0 exactly, as the stencil does
+    assert set(np.unique(lap_t * grid.dx ** 2)) <= {-2.0, 0.0, 1.0}
+    for value in (0.0, 1.0, -1.0, 2.0 ** -20, -(2.0 ** 30)):
+        constant = np.full((3, n), value)
+        assert np.all(constant @ lap_t == 0.0)
+        assert np.all(second_derivative(constant.T, grid) == 0.0)
+
+
+def test_semi_implicit_equals_previous_form_to_stated_tolerance(rng):
+    # the step form moved from P(m + dt*(rhs - c*Lap m)) by the FFT to m + P(dt*rhs) with
+    # dense operators; measured: the field (final and snapshots) by at most 6.8e-15 on the
+    # hopf problem and 2.0e-15 at n = 96, phi0 by 2.7e-14, the energy by 3.6e-15 of the
+    # run's largest |E|
+    params = ModelParams(1.0, 0.5, 1.0, 1.0)
+    grid = Grid1D(2 * np.pi, 64)
+    e3 = MagnetizationField(grid, np.tile([0.0, 0.0, 1.0], (grid.n, 1)))
+    hopf = _perturb(e3, PerturbationSpec("noise", amplitude=1e-3, seed=7))
+    grid = Grid1D(2 * np.pi, 96)
+    runs = ((hopf, params, SimConfig(dt=0.005, t_final=80.0)),
+            (random_smooth_field(rng, grid), PARAMS, SimConfig(dt=0.01, t_final=2.0)))
+    for initial, params, config in runs:
+        result = simulate(initial, params, config)
+        previous = _previous_semi_implicit(initial.grid, params, config.dt)
+        times, drifts, energies, phi0, snap_t, snaps, final = _reference_simulate(
+            initial, params, config, previous)
+        diag = result.diagnostics
+        assert np.array_equal(diag.times, times) and np.array_equal(result.trajectory.times, snap_t)
+        assert np.abs(result.trajectory.values - snaps).max() <= 1e-14
+        assert np.abs(result.final.values - final).max() <= 1e-14
+        assert np.abs(diag.phi0 - phi0).max() <= 1e-13
+        assert np.abs(diag.energy - energies).max() <= 1e-14 * np.abs(energies).max()
+        assert np.abs(diag.norm_drift - drifts).max() <= 1e-15

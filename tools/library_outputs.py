@@ -6,7 +6,9 @@
 The first form imports llgs from the source tree SRC and saves the results of
 `simulate` (diagnostics, snapshots, final field) on the hopf and sideband
 problems and off their grid sizes (semi-implicit at n = 96, which is not a
-power of two, and 300 RK4 steps at n = 4096), the equilibrium preset's run
+power of two, and at n = 192 and 193, the last size the step applies its
+operators as dense matrices and the first it takes the FFT, and 300 RK4
+steps at n = 4096), the equilibrium preset's run
 (beta = 0, an exact +e3 field) and 300 RK4 steps with beta = 0, where the
 kernel's f holds signed zeros, `second_derivative` on non-periodic grids and
 both spectral derivatives at n = 64 (1-D and (n, 3) input), `to_spherical`'s
@@ -132,6 +134,11 @@ def compute() -> dict:
     initial = _perturb(MagnetizationField(grid, values),
                        PerturbationSpec("noise", amplitude=1e-3, seed=11))
     _run("hopf-n96.", simulate(initial, params, SimConfig(dt=0.005, t_final=5.0)), out)
+    for n in (192, 193):  # either side of the semi-implicit step's DENSE_MAX_N
+        grid = Grid1D(2 * math.pi, n)
+        e3 = MagnetizationField(grid, np.tile([0.0, 0.0, 1.0], (n, 1)))
+        initial = _perturb(e3, PerturbationSpec("noise", amplitude=1e-3, seed=13))
+        _run(f"hopf-n{n}.", simulate(initial, params, SimConfig(dt=0.005, t_final=2.0)), out)
     grid = Grid1D(20 * math.pi, 4096)
     initial = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", 0.4, 1e-4))
     _run("sideband-n4096.", simulate(initial, params, SimConfig(
