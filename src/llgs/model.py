@@ -17,8 +17,9 @@ Its one kernel, `_LLKernel`, evaluates this on component-first (3, n)
 arrays, each row one component, contiguous along the grid: a stepper keeps its
 state in that layout and builds the kernel once.  Both cross products are
 taken on cyclically extended (5, n) buffers with rows m1 m2 m3 m1 m2, so each
-is two products and one difference over (3, n).  One 3-point stencil,
-`_Laplacian`, works along the last axis on both grid kinds.  The norms behind
+is two products and one difference over (3, n).  The grid is periodic; one
+3-point stencil, `_Laplacian`, works along the last axis, and
+`_laplacian_symbol` gives its eigenvalues.  The norms behind
 the projection and the norm drift, `_norms`, square the (3, n) field in one
 call and add its rows in np.linalg.norm's order.  The (n, 3) entry points
 (`_ll_rhs`, `second_derivative`, `_project`, `MagnetizationField.norm_drift`)
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,17 +103,19 @@ def classify_anisotropy(params: ModelParams) -> AnisotropyRegime:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1D grid of length `length` with `n` points.
+    """Uniform periodic 1D grid of length `length` with `n` points.
 
-    Periodic grids omit the duplicate endpoint, so dx = L/n; non-periodic
-    grids span [0, L] inclusively with dx = L/(n-1).
+    The duplicate endpoint x = L is omitted, so dx = L/n.
     """
 
     length: float
     n: int
-    periodic: bool = True
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ConfigError(f"grid size must be an integer, got {self.n!r}") from None
         if self.n < 3:
             raise ConfigError("grid needs at least 3 points for a Laplacian stencil")
         if not 0 < self.length < np.inf:
@@ -119,18 +123,14 @@ class Grid1D:
 
     @property
     def dx(self) -> float:
-        return self.length / self.n if self.periodic else self.length / (self.n - 1)
+        return self.length / self.n
 
     @property
     def x(self) -> np.ndarray:
-        if self.periodic:
-            return self.dx * np.arange(self.n)
-        return np.linspace(0.0, self.length, self.n)
+        return self.dx * np.arange(self.n)
 
     def wavenumbers(self) -> np.ndarray:
-        """Fourier wavenumbers of the periodic grid (fftfreq convention)."""
-        if not self.periodic:
-            raise ConfigError("Fourier wavenumbers require a periodic grid")
+        """Fourier wavenumbers of the grid (fftfreq convention)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
@@ -149,12 +149,9 @@ def _fourier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
-    """d/dx along axis 0, central differences or spectral (periodic only)."""
+    """d/dx along axis 0 of the periodic grid, central differences or spectral."""
     if _spectral(method):
         return _fourier(values, 1j * grid.wavenumbers())
-    if not grid.periodic:
-        # central inside, one-sided at the ends
-        return np.gradient(values, grid.dx, axis=0)
     out = np.empty_like(values)
     # v[i+1] - v[i-1], wrapping around; bit-equal to the np.roll stencil
     np.subtract(values[2:], values[:-2], out=out[1:-1])
@@ -165,16 +162,15 @@ def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np
 
 
 class _Laplacian:
-    """3-point d^2/dx^2 of v along its last axis, written to out on each call.
+    """Periodic 3-point d^2/dx^2 of v along its last axis, written to out on each call.
 
     (v[i+1] - 2 v[i]) + v[i-1], wrapping around, then / dx^2: bit-equal to
-    the np.roll stencil.  A non-periodic grid ends in (v0 - 2 v1) + v2 and
-    its mirror.  tmp receives 2 v; allocated when not given.  v, out and tmp
-    share one C- or F-contiguous layout, so a shift by one grid point is one
-    shift of their flat memory and no ufunc needs numpy's general iterator,
-    which allocates.  v[i+1] - 2 v[i] is one subtract of shifted flat views
-    and the last column's v[0] - 2 v[-1] one more; the end columns, which the
-    shift gets wrong, are redone: seven ufunc calls on a periodic grid.  The
+    the np.roll stencil.  tmp receives 2 v; allocated when not given.  v, out
+    and tmp share one C- or F-contiguous layout, so a shift by one grid point
+    is one shift of their flat memory and no ufunc needs numpy's general
+    iterator, which allocates.  v[i+1] - 2 v[i] is one subtract of shifted
+    flat views and the last column's v[0] - 2 v[-1] one more; the first
+    column, which the shift gets wrong, is redone: seven ufunc calls.  The
     views are taken once; the scalars are 0-d arrays, as a ufunc converts a
     Python float on every call.
     """
@@ -190,10 +186,9 @@ class _Laplacian:
         self._next = (flat_v[shift:], flat_twice[:-shift], flat_out[:-shift])  # v[i+1] - 2 v[i]
         self._next_wrap = (v[..., 0], twice[..., -1], out[..., -1])
         self._prev = (flat_out[shift:], flat_v[:-shift])  # out[i] += v[i-1]
-        # each end column: (out, a, 2 v, b) for out = (a - 2 v) + b
-        self._ends = ((out[..., 0], v[..., 1], twice[..., 0], v[..., -1]),) if grid.periodic else (
-            (out[..., 0], v[..., 0], twice[..., 1], v[..., 2]),
-            (out[..., -1], v[..., -1], twice[..., -2], v[..., -3]))
+        # the first column: out = (v[1] - 2 v[0]) + v[-1]
+        self._first = (v[..., 1], twice[..., 0], out[..., 0])
+        self._first_prev = (out[..., 0], v[..., -1])
 
     def __call__(self) -> np.ndarray:
         out = self._out
@@ -202,15 +197,15 @@ class _Laplacian:
         np.subtract(*self._next_wrap)
         o, v = self._prev
         o += v
-        for o, a, twice_col, b in self._ends:
-            np.subtract(a, twice_col, o)
-            o += b
+        np.subtract(*self._first)
+        o, v = self._first_prev
+        o += v
         out /= self._dx2
         return out
 
 
 def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
-    """d^2/dx^2 along axis 0, 3-point stencil or spectral (periodic only)."""
+    """d^2/dx^2 along axis 0 of the periodic grid, 3-point stencil or spectral."""
     if _spectral(method):
         return _fourier(values, -grid.wavenumbers() ** 2)
     values = np.ascontiguousarray(values)  # the stencil shifts flat memory
@@ -218,6 +213,12 @@ def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> n
     # the transposes put axis 0 last; a 1-D array is its own transpose
     _Laplacian(values.T, grid, out.T)()
     return out
+
+
+def _laplacian_symbol(grid: Grid1D) -> np.ndarray:
+    """The 3-point Laplacian's eigenvalues, -(2 - 2 cos(2 pi j/n))/dx^2, in FFT order."""
+    n = grid.n
+    return -(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / grid.dx ** 2
 
 
 UNIT_NORM_TOL = 1e-12
@@ -449,10 +450,8 @@ def gilbert_residual(
 
 
 def _integrate(values: np.ndarray, grid: Grid1D) -> float:
-    if grid.periodic:
-        return float(np.sum(values) * grid.dx)
-    # trapezoid rule; np.trapz is gone from numpy 2 and scipy.integrate is slow to import
-    return float((np.sum(values) - 0.5 * (values[0] + values[-1])) * grid.dx)
+    """Sum times dx: the trapezoid rule on the periodic grid."""
+    return float(np.sum(values) * grid.dx)
 
 
 def energy(fld: MagnetizationField, params: ModelParams, method: str = "fd") -> float:

@@ -10,17 +10,17 @@ to cross-validate wavetrain frequency, sideband growth rates and coherent
 profiles against the analytical modules.
 
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
-row per component.  `SimConfig.validate` rejects a non-periodic grid and the
-RK4 factory a dt above `cfl_limit`, before any buffer is built; each factory
-then builds its buffers, `model._LLKernel` and its linear operators once; a
-step advances the state in place with ufuncs and matmuls that write to those
-buffers (their output passed positionally, as in `model`), allocates no
-array, and is bit-equal to the (n, 3) formulas.  `simulate` transposes only
-at entry, when it records diagnostics or a snapshot, and at exit; everything
-it returns is (n, 3).  Its loop reads the config once and takes the time of
-a step only when it records or stores; a record tests finiteness and takes
-the norm drift on the (3, n) state, into scratch allocated once, and the
-energy and phi0 from the (n, 3) copy.
+row per component.  The RK4 factory rejects a dt above `cfl_limit` before
+any buffer is built; each factory builds its buffers, `model._LLKernel` and
+its linear operators once; a step advances the state in place with ufuncs
+and matmuls that write to those buffers (their output passed positionally,
+as in `model`), allocates no array, and is bit-equal to the (n, 3)
+formulas.  `simulate` transposes only at entry, when it records diagnostics
+or a snapshot, and at exit; everything it returns is (n, 3).  Its loop reads
+the config once and takes the time of a step only when it records or
+stores; a record tests finiteness and takes the norm drift on the (3, n)
+state, into scratch allocated once, and the energy and phi0 from the (n, 3)
+copy.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .model import (
     MagnetizationField,
     ModelParams,
     _Laplacian,
+    _laplacian_symbol,
     _LLKernel,
     _norm_drift,
     _normalize,
@@ -88,8 +89,6 @@ class SimConfig:
         make_step = _STEPPERS.get(self.integrator)
         if make_step is None:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if not grid.periodic:
-            raise ConfigError("simulate needs a periodic grid; its ends have no boundary condition")
         return make_step(grid, params, self.dt)
 
 
@@ -139,17 +138,16 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
 
     c = alpha/(1+alpha^2) is the ellipticity constant.  In exact arithmetic
     this is P (m_n + dt*(rhs - c*Lap m_n)), as P (I - dt*c*Lap) m_n = m_n.  P
-    uses the exact Fourier symbol of the periodic 3-point Laplacian, so the
-    split is consistent with the stencil.  At n <= DENSE_MAX_N the step
-    applies the Laplacian and P as dense matrices (`_dense_operators`), one
-    matmul each on the (3, n) state; above it, the stencil and an FFT along
-    the rows that divides by the symbol.  The step advances a (3, n) field in
+    uses the exact Fourier symbol of the 3-point Laplacian,
+    `_laplacian_symbol`, so the split is consistent with the stencil.  At
+    n <= DENSE_MAX_N the step applies the Laplacian and P as dense matrices
+    (`_dense_operators`), one matmul each on the (3, n) state; above it, the
+    stencil and an FFT along the rows that divides by the symbol.  The step advances a (3, n) field in
     place; the kernel, the operators and the buffers are built here, once.
     """
     n = grid.n
-    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / grid.dx ** 2
     c = params.alpha / (1.0 + params.alpha ** 2)
-    denominator = 1.0 - dt * c * symbol
+    denominator = 1.0 - dt * c * _laplacian_symbol(grid)
     dt = np.array(dt)  # 0-d, as in model._Laplacian
     kernel = _LLKernel(n, params)
     x = kernel.m.rows
@@ -229,8 +227,8 @@ def _rk4(grid: Grid1D, params: ModelParams, dt: float):
     return step
 
 
-# SimConfig.integrator -> factory (grid, params, dt) -> step(m), in place on (3, n),
-# for a periodic grid; RK4's rejects a dt above cfl_limit before it allocates
+# SimConfig.integrator -> factory (periodic grid, params, dt) -> step(m), in place on
+# (3, n); RK4's rejects a dt above cfl_limit before it allocates
 _STEPPERS = {"rk4": _rk4, "semi-implicit": _semi_implicit}
 
 

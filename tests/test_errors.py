@@ -27,7 +27,8 @@ def _e3_field():
         (lambda: e3_eigenvalues(PARAMS, 0, np.linspace(0.0, 1.0, 3)), ConfigError),
         (lambda: spectrum_curves(wavetrain_at(PARAMS, 0.6), PARAMS, 2.0, n_samples=1),
          ConfigError),
-        (lambda: Grid1D(1.0, 8, periodic=False).wavenumbers(), ConfigError),
+        (lambda: Grid1D(2 * math.pi, 64.5), ConfigError),
+        (lambda: Grid1D(2 * math.pi, 64.0), ConfigError),
         (lambda: MagnetizationField(GRID, 2.0 * _e3_field().values).check_unit_norm(),
          ConfigError),
         (lambda: SimConfig(dt=0.01, t_final=-1), ConfigError),
@@ -38,9 +39,9 @@ def _e3_field():
         (lambda: small_amplitude_bifurcation(ModelParams(1.0, 0.0, -2.0, 0.5), 2.0, 0.0),
          NoLocalBifurcation),
     ],
-    ids=["e3-sign-0", "spectrum-1-sample", "wavenumbers-non-periodic", "non-unit-field",
-         "t-final-negative", "frequency-1-sample", "perturbation-unknown", "integral-at-pole",
-         "no-bifurcation-wavenumber"],
+    ids=["e3-sign-0", "spectrum-1-sample", "grid-size-fractional", "grid-size-float",
+         "non-unit-field", "t-final-negative", "frequency-1-sample", "perturbation-unknown",
+         "integral-at-pole", "no-bifurcation-wavenumber"],
 )
 def test_bad_call_raises_its_typed_error(call, error):
     assert issubclass(error, LLGSError)

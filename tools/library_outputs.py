@@ -8,12 +8,11 @@ The first form imports llgs from the source tree SRC and saves the results of
 problems and off their grid sizes (semi-implicit at n = 96, which is not a
 power of two, and at n = 192 and 193, the last size the step applies its
 operators as dense matrices and the first it takes the FFT, and 300 RK4
-steps at n = 4096), the equilibrium preset's run
-(beta = 0, an exact +e3 field) and 300 RK4 steps with beta = 0, where the
-kernel's f holds signed zeros, `second_derivative` on non-periodic grids and
-both spectral derivatives at n = 64 (1-D and (n, 3) input), `to_spherical`'s
-phi and `local_wavenumber` of fields with pole points, `norm_drift` and
-`energy` ("fd" and "spectral") of F-ordered, strided and non-periodic
+steps at n = 4096), the equilibrium preset's run (beta = 0, an exact +e3
+field) and 300 RK4 steps with beta = 0, where the kernel's f holds signed
+zeros, both spectral derivatives at n = 64 (1-D and (n, 3) input),
+`to_spherical`'s phi and `local_wavenumber` of fields with pole points,
+`norm_drift` and `energy` ("fd" and "spectral") of F-ordered and strided
 fields, `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
 on a wavetrain, the cohex homoclinic profile and a lifted fast front, two
 `integrate_stationary` profiles (sampled from the dense output), two
@@ -157,13 +156,7 @@ def compute() -> dict:
     _run("rk4-zero-beta.", simulate(initial, zero_beta, SimConfig(
         dt=dt, t_final=300 * dt, integrator="rk4", diag_every=20, store_every=100)), out)
 
-    # the one-sided ends of a non-periodic grid, and the spectral derivatives
-    rng = np.random.default_rng(17)
-    for n in (16, 64, 257):
-        grid = Grid1D(2 * math.pi, n, periodic=False)
-        values = rng.normal(size=(n, 3))
-        out[f"second-derivative-non-periodic.n{n}"] = second_derivative(values, grid)
-        out[f"second-derivative-non-periodic.n{n}-1d"] = second_derivative(values[:, 0], grid)
+    # the spectral derivatives
     grid = Grid1D(2 * math.pi, 64)
     values = np.random.default_rng(23).normal(size=(64, 3))
     for name, derivative in (("first", first_derivative), ("second", second_derivative)):
@@ -179,10 +172,11 @@ def compute() -> dict:
         out[f"spherical-{name}.phi"] = sph.phi
         out[f"spherical-{name}.local_wavenumber"] = local_wavenumber(sph)
 
-    # energy and norm_drift on the input layouts simulate never passes them: F-ordered,
-    # strided and non-periodic fields, one far off the sphere and one just off it
-    for n, periodic in ((64, True), (1024, True), (101, False)):
-        grid = Grid1D(2 * math.pi, n, periodic=periodic)
+    # energy and norm_drift on the input layouts simulate never passes them: F-ordered
+    # and strided fields, one far off the sphere and one just off it
+    rng = np.random.default_rng(17)
+    for n in (64, 1024):
+        grid = Grid1D(2 * math.pi, n)
         far = rng.normal(size=(n, 3))
         near = far / np.linalg.norm(far, axis=1, keepdims=True) + 1e-9 * rng.normal(size=(n, 3))
         for name, field in (("far", far), ("near", near)):
@@ -191,9 +185,8 @@ def compute() -> dict:
             for layout, v in (("C", field), ("F", np.asfortranarray(field)),
                               ("strided", wide[:, ::2])):
                 fld = MagnetizationField(grid, v)
-                methods = ("fd", "spectral") if periodic else ("fd",)
-                out[f"reductions.{'' if periodic else 'non-'}periodic-n{n}-{name}-{layout}"] = (
-                    np.array([fld.norm_drift()] + [energy(fld, params, m) for m in methods]))
+                out[f"reductions.n{n}-{name}-{layout}"] = np.array(
+                    [fld.norm_drift()] + [energy(fld, params, m) for m in ("fd", "spectral")])
 
     # a wavetrain as the trivial coherent structure s = 0, Omega = beta/alpha
     xi = np.linspace(-20.0, 20.0, 801)
