@@ -2,8 +2,9 @@
 
 Runs are configured by INI files (section [model] for alpha/beta/mu/h plus a
 section per subcommand) or by mirroring flags; every run is deterministic
-given its seed.  Output is CSV (default) or JSON.  Exit codes: 0 success,
-2 bad parameter, unknown key or out-of-range value, 3 numerical failure.
+given its seed.  Output is CSV (default) or JSON, which writes a non-finite
+float as null.  Exit codes: 0 success, 2 bad parameter, unknown key or
+out-of-range value, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -29,12 +31,6 @@ from .simulate import (_STEPPERS, PerturbationSpec, SimConfig, _perturb,
 from .wavetrains import e3_eigenvalues, e3_stability, wavetrain_at
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _emit(path, text):
     """Write `text` to the file `path`, or to stdout when `path` is None."""
     if path is None:
@@ -44,25 +40,46 @@ def _emit(path, text):
             fh.write(text)
 
 
+def _json_text(payload):
+    """`payload` as indented JSON, each non-finite float as null (JSON has no NaN)."""
+    return json.dumps(_finite_or_null(payload), indent=2) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_rows(path, header, rows, fmt):
+    """Write a table whose columns each hold one type of value, as CSV or JSON.
+
+    CSV writes a float as "%.17g" (it reads back to the same float, and gives
+    nan, inf and -0) and any other value as str().  JSON writes a non-finite
+    float as null.
+    """
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text([dict(zip(header, row)) for row in rows])
     else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        # one % operation formats the table, with a row format the first row sets
+        row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+        body = (("\n" + row) * len(rows)) % tuple(chain.from_iterable(rows))
+        text = ",".join(header) + body + "\n"
     _emit(path, text)
 
 
 def write_columns(path, header, columns, fmt):
     """write_rows of the rows that equal-length columns (arrays or sequences) form."""
-    # tolist() gives Python floats: the same text as np.float64, formatted faster
+    # tolist() gives one Python type per column, whose "%.17g" is np.float64's
     write_rows(path, header, list(zip(*(np.asarray(c).tolist() for c in columns))), fmt)
 
 
 def write_record(path, record):
-    _emit(path, json.dumps(record, indent=2) + "\n")
+    _emit(path, _json_text(record))
 
 
 def _out_path(out, tag="", ext=None):

@@ -506,30 +506,39 @@ def slaved_fast_variables(params, ansatz, theta):
         g(q) = h + (q^2 - mu) c - (Omega - s q) + alpha s p_tilde - c p_tilde^2 = 0,
     solved by Newton's method from the leading-order q = Omega/s at every
     theta at once.  Raises ConvergenceError ("slow manifold breaks down")
-    when s - 2 q c reaches 0, when Newton does not converge in 50 steps, or
-    when the residual of a fast equation exceeds 1e-9.
+    when s - 2 q c or the Newton derivative reaches 0, when Newton does not
+    converge in 50 steps, or when the residual of a fast equation exceeds 1e-9.
+    A float theta gives np.float64 results.
     """
     a, s, Omega = params.alpha, ansatz.s, ansatz.Omega
-    c = np.cos(theta)
+    array = isinstance(theta, np.ndarray)
+    # A float theta iterates on Python floats, whose +, -, * and / round as
+    # np.float64's do without numpy's per-operation cost: the fast-front shot
+    # passes thousands.  np.cos stays, as math.cos may differ by an ulp.
+    c = np.cos(theta) if array else float(np.cos(theta))
+    any_, all_ = (np.any, np.all) if array else (bool, bool)
     q = 0.0 * c + (Omega / s if s else 0.0)  # shaped like theta
     converged = False
     for _ in range(50):
         den = s - 2.0 * q * c
-        if (den == 0.0).any():
+        if any_(den == 0.0):
             raise ConvergenceError("slow manifold breaks down (s too small?): s - 2 q c = 0")
         pt = (params.beta - a * (Omega - s * q)) / den
         g = params.h + (q * q - params.mu) * c - (Omega - s * q) + a * s * pt - c * pt * pt
         if converged:  # (pt, g) at the last iterate
             break
-        step = g / (s + 2.0 * q * c + (a * s - 2.0 * c * pt) * (a * s + 2.0 * c * pt) / den)
+        slope = s + 2.0 * q * c + (a * s - 2.0 * c * pt) * (a * s + 2.0 * c * pt) / den
+        if any_(slope == 0.0):  # a float division by 0 raises; numpy's steps to inf
+            raise ConvergenceError("slow manifold breaks down: Newton derivative 0")
+        step = g / slope
         q = q - step
-        converged = (abs(step) <= 1e-13 * (1.0 + abs(q))).all()
+        converged = all_(abs(step) <= 1e-13 * (1.0 + abs(q)))
     else:
         raise ConvergenceError("slow manifold breaks down (s too small?): Newton did not converge")
-    residual = abs(g).max()  # the q-equation holds by construction of pt
+    residual = abs(g).max() if array else abs(g)  # the q-equation holds by construction of pt
     if residual > 1e-9:
         raise ConvergenceError(f"slow manifold breaks down: residual {residual:.1e}")
-    return pt, q
+    return (pt, q) if array else (np.float64(pt), np.float64(q))
 
 
 def _shoot_from_pole(params, ansatz, Omega1, theta0, interior):

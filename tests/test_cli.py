@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from llgs.cli import (PROFILE_HEADER, build_parser, load_config, main, params_from_config,
-                      preset_path)
+                      preset_path, write_columns, write_record)
 
 
 def run(args, capsys):
@@ -487,14 +487,51 @@ def test_simulate_cfl_rejection_is_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_json_format_output(capsys):
-    code, out, _ = run(
-        ["wavetrains", "--alpha", "1", "--beta", "0", "--mu", "1", "--h", "0.5",
-         "--n-k", "5", "--k-max", "0.5", "--format", "json"], capsys,
-    )
-    rows = json.loads(out)
-    assert isinstance(rows, list) and rows
-    assert set(rows[0]) == {"k", "theta", "m3", "r", "omega", "stability_class", "k_star"}
+    # h = 2 is not supercritical: k_star is undefined and written as null, not NaN
+    for h, k_max, k_star_defined in (("0.5", "0.5", True), ("2", "3", False)):
+        code, out, _ = run(
+            ["wavetrains", "--alpha", "1", "--beta", "0", "--mu", "1", "--h", h,
+             "--n-k", "5", "--k-max", k_max, "--format", "json"], capsys,
+        )
+        rows = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0 and isinstance(rows, list) and rows
+        assert set(rows[0]) == {"k", "theta", "m3", "r", "omega", "stability_class", "k_star"}
+        assert all((row["k_star"] is not None) == k_star_defined for row in rows)
+
+
+def test_write_record_writes_non_finite_as_null(tmp_path):
+    path = tmp_path / "record.json"
+    write_record(str(path), {"a": math.nan, "b": [math.inf, 0.5, {"c": -math.inf}],
+                             "d": (np.float64("nan"), "nan")})
+    record = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert record == {"a": None, "b": [None, 0.5, {"c": None}], "d": [None, "nan"]}
+
+
+def _reference_csv(header, columns):
+    """The table as each value formatted on its own: "%.17g" text for a float."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("columns", [
+    [[0.1, 5e-324, 1e16, 1e17, -0.0, math.inf, -math.inf, math.nan]],
+    [np.arange(-3, 5), np.arange(8) % 3 == 0, [f"s{i}%" for i in range(8)],
+     np.linspace(-1.0, 1.0, 8)],
+    [np.array([]), [], np.array([], dtype=int)],
+], ids=["floats", "int-bool-str-float", "no-rows"])
+def test_write_columns_equals_per_value_text(tmp_path, columns):
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    path = tmp_path / "table.csv"
+    write_columns(str(path), header, columns, "csv")
+    assert path.read_text() == _reference_csv(header, columns)
 
 
 def test_store_every_is_no_option(capsys, tmp_path):

@@ -403,11 +403,52 @@ def test_slaved_fast_variables_array_matches_scalar():
         assert abs(rhs[1]) < 1e-9 and abs(rhs[2]) < 1e-9
 
 
+def _slaved_on_float64(params, ansatz, theta):
+    """slaved_fast_variables' Newton loop as it ran on np.float64 at a float theta."""
+    a, s, Omega = params.alpha, ansatz.s, ansatz.Omega
+    c = np.cos(theta)
+    q = 0.0 * c + (Omega / s if s else 0.0)
+    converged = False
+    for _ in range(50):
+        den = s - 2.0 * q * c
+        assert not (den == 0.0).any()
+        pt = (params.beta - a * (Omega - s * q)) / den
+        g = params.h + (q * q - params.mu) * c - (Omega - s * q) + a * s * pt - c * pt * pt
+        if converged:
+            break
+        step = g / (s + 2.0 * q * c + (a * s - 2.0 * c * pt) * (a * s + 2.0 * c * pt) / den)
+        q = q - step
+        converged = (abs(step) <= 1e-13 * (1.0 + abs(q))).all()
+    else:
+        raise AssertionError("no convergence")
+    assert abs(g).max() <= 1e-9
+    return pt, q
+
+
+@pytest.mark.parametrize("model, s, Omega", [
+    ((1.0, 0.0, 1.0, 0.0), 50.0, 0.0),  # the fast-front preset
+    ((1.3, 0.4, 1.1, -0.2), 30.0, 2.0),
+    ((0.7, -0.3, -2.5, 1.3), -20.0, 1.5),
+])
+def test_slaved_fast_variables_float_equals_float64_loop_bitwise(model, s, Omega):
+    # a float theta runs the loop on Python floats; the values keep every bit
+    params, ansatz = ModelParams(*model), CoherentAnsatz(s, Omega)
+    for theta in np.linspace(0.0, math.pi, 402)[1:-1].tolist():
+        got = slaved_fast_variables(params, ansatz, theta)
+        want = _slaved_on_float64(params, ansatz, theta)
+        assert all(type(v) is np.float64 for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), theta
+
+
 def test_slaved_fast_variables_small_s_breaks_down():
     # s = 1 at the pole: the first Newton step lands on s - 2 q cos(theta) = 0
     ansatz = CoherentAnsatz(1.0, 0.0)
     with pytest.raises(ConvergenceError, match="slow manifold breaks down"):
         slaved_fast_variables(ModelParams(1.0, 0.0, 1.0, 0.0), ansatz, 0.0)
+    # (1 + alpha^2) s^4 = 4 beta^2 at the pole: the first Newton derivative is exactly 0
+    for theta in (0.0, np.array([0.0, 0.5])):
+        with pytest.raises(ConvergenceError, match="Newton derivative 0"):
+            slaved_fast_variables(ModelParams(0.75, 0.625, 1.0, 0.0), ansatz, theta)
 
 
 def test_fast_heteroclinic_pair():

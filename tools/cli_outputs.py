@@ -9,7 +9,7 @@ compare with `diff -r OUT_a OUT_b`: an empty diff means every output file,
 message and exit code is byte-identical.
 
 The list is the benchmark's cli-sweep (`SWEEP` in perfbench/workloads.py,
-read, never edited), five of its runs again with --format json, a few longer
+read, never edited), six of its runs again with --format json, a few longer
 runs, and runs that must fail with exit 2 (a bad setting) or exit 3 (a
 numerical failure).
 """
@@ -32,7 +32,8 @@ WAVETRAIN = ["--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1"]
 # (name, argv, extension of --out ("" for none), or None to write to stdout)
 RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
     (name + "-json", argv + ["--format", "json"], ".json") for name, argv, _ in SWEEP
-    if name in ("spectrum", "equilibrium", "cohex", "wavetrains-a", "fast-front")
+    if name in ("spectrum", "equilibrium", "cohex", "wavetrains-a", "wavetrains-b",
+                "fast-front")
 ] + [
     ("hopf", ["simulate", "--preset", "hopf", "--seed", "1"], ".csv"),
     ("sideband", ["simulate", "--preset", "sideband", "--t-final", "2"], ".csv"),

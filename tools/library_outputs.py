@@ -14,7 +14,9 @@ zeros, both spectral derivatives at n = 64 (1-D and (n, 3) input),
 `to_spherical`'s phi and `local_wavenumber` of fields with pole points,
 `norm_drift` and `energy` ("fd" and "spectral") of F-ordered and strided
 fields, `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
-on a wavetrain, the cohex homoclinic profile and a lifted fast front, two
+on a wavetrain, the cohex homoclinic profile and a lifted fast front, the
+slow manifold `slaved_fast_variables` at 801 float theta from pole to pole
+on the fast-front preset (the call the fast-front shot makes), two
 `integrate_stationary` profiles (sampled from the dense output), two
 `monotone_drift_check` runs (its terminal event with dense output; the event
 stops one of them), and a portrait sweep: the equilibria, connections and
@@ -205,6 +207,10 @@ def compute() -> dict:
     front = coherent.fast_heteroclinic(params, 0.0, 0.0, 50.0).fronts[0]
     _verification("verify-fast.", verify_coherent_profile(coherent.lift_to_ode(front.profile),
                                                           params, window=0.01), out)
+    ansatz = coherent.CoherentAnsatz(50.0, 0.0)
+    out["slaved-fast.float-theta"] = np.array(
+        [coherent.slaved_fast_variables(params, ansatz, theta)
+         for theta in np.linspace(0.0, math.pi, 801).tolist()])
 
     # profiles sampled from the integrator's dense output, with and without an event
     for name, (model, Omega, y0) in {"a": ((1.0, 0.0, 1.0, 0.0), 0.0, (1.2, 0.0, 0.5)),
