@@ -4,9 +4,10 @@ Method of lines with a 3-point Laplacian, projected to the sphere after every
 step.  Two time steppers: classical RK4 (convergence studies), and a linearly
 implicit scheme, m <- m + P(dt*rhs(m)) with P = (I - dt*c*Lap)^{-1}, treating
 the stiff diffusion c d_xx, c = alpha/(1+alpha^2), implicitly (production
-runs, no dx^2 step barrier).  Up to DENSE_MAX_N points it applies the
-Laplacian and P as dense matrices, above it the stencil and the FFT.  Used
-to cross-validate wavetrain frequency, sideband growth rates and coherent
+runs, no dx^2 step barrier).  The semi-implicit step has one body at every
+n: up to DENSE_MAX_N points it applies the Laplacian and P as dense
+matrices, above it the stencil and one real FFT pair.  Used to
+cross-validate wavetrain frequency, sideband growth rates and coherent
 profiles against the analytical modules.
 
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,9 +55,9 @@ CFL_SAFETY = 0.25
 # domain, since periodic wrap-around pollutes the edges.
 DEFECT_THRESHOLD = 1e-2
 DEFECT_INTERIOR = 0.6
-# the largest n at which the semi-implicit step applies its Laplacian and implicit
-# solve as dense (n, n) matmuls, not the stencil and the FFT: the dense step was the
-# faster up to n = 192 and the slower at 256 (BENCH_pde_dense.json)
+# the largest n at which the semi-implicit step applies its Laplacian and P as dense
+# (n, n) matmuls, not the stencil and the real FFT pair: the dense step was the faster
+# at 160, the slower at 256 and at 192 in 7 of 10 batch pairs (BENCH_pde_rfft.json)
 DENSE_MAX_N = 192
 
 
@@ -139,11 +141,12 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
     c = alpha/(1+alpha^2) is the ellipticity constant.  In exact arithmetic
     this is P (m_n + dt*(rhs - c*Lap m_n)), as P (I - dt*c*Lap) m_n = m_n.  P
     uses the exact Fourier symbol of the 3-point Laplacian,
-    `_laplacian_symbol`, so the split is consistent with the stencil.  At
-    n <= DENSE_MAX_N the step applies the Laplacian and P as dense matrices
-    (`_dense_operators`), one matmul each on the (3, n) state; above it, the
-    stencil and an FFT along the rows that divides by the symbol.  The step advances a (3, n) field in
-    place; the kernel, the operators and the buffers are built here, once.
+    `_laplacian_symbol`, so the split is consistent with the stencil.  One
+    step body serves every n; only the Laplacian and P depend on it: at
+    n <= DENSE_MAX_N dense matrices (`_dense_operators`), one matmul each on
+    the (3, n) state; above it, the stencil, and a real FFT along the rows,
+    a divide by the symbol's first n//2 + 1 values and the inverse.  The
+    kernel, the operators and the buffers are built here, once.
     """
     n = grid.n
     c = params.alpha / (1.0 + params.alpha ** 2)
@@ -155,36 +158,25 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
 
     if n <= DENSE_MAX_N:
         lap_t, solve_t = _dense_operators(grid, denominator)
+        laplacian = partial(np.matmul, x, lap_t, lap)
+        solve = partial(np.matmul, k, solve_t, lap)  # the Laplacian is spent
+    else:
+        laplacian = _Laplacian(x, grid, lap, k)
+        # complex and (3, n//2 + 1), so dividing by it neither casts nor buffers
+        half = np.tile(denominator[: n // 2 + 1], (3, 1)).astype(complex)
+        spectrum = np.empty_like(half)
 
-        def step(m: np.ndarray):
-            x[...] = m
-            np.matmul(x, lap_t, lap)
-            kernel.rhs(lap, k)
-            np.multiply(k, dt, k)
-            m += np.matmul(k, solve_t, lap)  # the Laplacian is spent
-
-        return step
-
-    # complex and (3, n), so dividing by it neither casts nor buffers
-    denominator = np.tile(denominator, (3, 1)).astype(complex)
-    laplacian = _Laplacian(x, grid, lap, k)
-    # the FFT's input (its imaginary part stays 0), spectrum and output
-    signal, spectrum, back = (np.zeros((3, n), complex) for _ in range(3))
-    # 1-D views, as a ufunc with a strided 2-D operand needs the allocating general
-    # iterator; x holds a copy of m until the step's end
-    flat_x, flat_k, flat_signal_real, flat_back_real = (
-        a.reshape(-1) for a in (x, k, signal.real, back.real))
+        def solve():
+            np.fft.rfft(k, axis=1, out=spectrum)
+            np.divide(spectrum, half, spectrum)
+            return np.fft.irfft(spectrum, n, axis=1, out=lap)  # the Laplacian is spent
 
     def step(m: np.ndarray):
         x[...] = m
         laplacian()
         kernel.rhs(lap, k)
-        np.multiply(flat_k, dt, flat_signal_real)
-        np.fft.fft(signal, axis=1, out=spectrum)
-        np.divide(spectrum, denominator, spectrum)
-        np.fft.ifft(spectrum, axis=1, out=back)
-        np.add(flat_x, flat_back_real, flat_x)  # m + back.real, on 1-D views
-        m[...] = x
+        np.multiply(k, dt, k)
+        m += solve()
 
     return step
 
@@ -307,13 +299,15 @@ class PerturbationSpec:
     seed: int | None = None
 
 
-def check_commensurate(k: float, grid: Grid1D):
+def check_commensurate(k: float, grid: Grid1D) -> int:
+    """The Fourier mode index k*L/(2 pi) of k, which must be an integer to within 1e-9."""
     cycles = k * grid.length / (2 * math.pi)
     if abs(cycles - round(cycles)) > 1e-9:
         raise CommensurabilityError(
             f"k = {k} puts {cycles:.6f} wavelengths on L = {grid.length}; "
             "k*L must be a multiple of 2*pi"
         )
+    return round(cycles)
 
 
 def build_wavetrain_initial(
@@ -361,12 +355,12 @@ def mode_amplitudes(traj: Trajectory, ell: float, carrier_k: float) -> np.ndarra
     """Magnitude of the +-ell sideband pair of m1 + i*m2 around the carrier.
 
     Moduli are invariant under the carrier's rotation about e3, so no
-    co-rotating demodulation in time is needed.
+    co-rotating demodulation in time is needed.  Both wavenumbers must be
+    grid modes (`check_commensurate`).
     """
     grid = traj.grid
-    dk = 2 * math.pi / grid.length
-    i_car = int(round(carrier_k / dk))
-    i_ell = int(round(ell / dk))
+    i_car = check_commensurate(carrier_k, grid)
+    i_ell = check_commensurate(ell, grid)
     n = grid.n
     m = np.asarray(traj.values)
     u_hat = np.fft.fft(m[..., 0] + 1j * m[..., 1], axis=1) / n

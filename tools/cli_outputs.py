@@ -37,8 +37,10 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
 ] + [
     ("hopf", ["simulate", "--preset", "hopf", "--seed", "1"], ".csv"),
     ("sideband", ["simulate", "--preset", "sideband", "--t-final", "2"], ".csv"),
-    ("wavetrain-noise", ["simulate", *WAVETRAIN, "--k", "1", "--perturbation", "noise",
-                         "--amplitude", "1e-3", "--seed", "2", "--t-final", "1"], ".csv"),
+    # the semi-implicit step at the default n = 256, above DENSE_MAX_N
+    ("wavetrain-noise", ["simulate", *WAVETRAIN, "--L", "62.83185307179586", "--k", "0.6",
+                         "--perturbation", "noise", "--amplitude", "1e-3", "--seed", "2",
+                         "--t-final", "1"], ".csv"),
     ("small-amplitude", ["coherent", "--mode", "small-amplitude", *MODEL, "--s", "5"], ".json"),
     ("drift", ["coherent", "--mode", "drift", "--alpha", "1", "--beta", "0.5", "--mu", "1",
                "--h", "0", "--omega-freq", "0.7"], ".json"),

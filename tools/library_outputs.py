@@ -7,16 +7,17 @@ The first form imports llgs from the source tree SRC and saves the results of
 `simulate` (diagnostics, snapshots, final field) on the hopf and sideband
 problems and off their grid sizes (semi-implicit at n = 96, which is not a
 power of two, and at n = 192 and 193, the last size the step applies its
-operators as dense matrices and the first it takes the FFT, and 300 RK4
-steps at n = 4096), the equilibrium preset's run (beta = 0, an exact +e3
-field) and 300 RK4 steps with beta = 0, where the kernel's f holds signed
-zeros, both spectral derivatives at n = 64 (1-D and (n, 3) input),
-`to_spherical`'s phi and `local_wavenumber` of fields with pole points,
-`norm_drift` and `energy` ("fd" and "spectral") of F-ordered and strided
-fields, `mode_amplitudes` on the sideband problem, `verify_coherent_profile`
-on a wavetrain, the cohex homoclinic profile and a lifted fast front, the
-slow manifold `slaved_fast_variables` at 801 float theta from pole to pole
-on the fast-front preset (the call the fast-front shot makes), two
+operators as dense matrices and the first it takes the FFT; the sideband
+problem semi-implicit at n = 1024; and 300 RK4 steps at n = 4096), the
+equilibrium preset's run (beta = 0, an exact +e3 field) and 300 RK4 steps
+with beta = 0, where the kernel's f holds signed zeros, both spectral
+derivatives at n = 64 (1-D and (n, 3) input), `to_spherical`'s phi and
+`local_wavenumber` of fields with pole points, `norm_drift` and `energy`
+("fd" and "spectral") of F-ordered and strided fields, `mode_amplitudes` on
+the sideband problem, `verify_coherent_profile` on a wavetrain, the cohex
+homoclinic profile and a lifted fast front, the slow manifold
+`slaved_fast_variables` at 801 float theta from pole to pole on the
+fast-front preset (the call the fast-front shot makes), two
 `integrate_stationary` profiles (sampled from the dense output), two
 `monotone_drift_check` runs (its terminal event with dense output; the event
 stops one of them), and a portrait sweep: the equilibria, connections and
@@ -140,6 +141,10 @@ def compute() -> dict:
         e3 = MagnetizationField(grid, np.tile([0.0, 0.0, 1.0], (n, 1)))
         initial = _perturb(e3, PerturbationSpec("noise", amplitude=1e-3, seed=13))
         _run(f"hopf-n{n}.", simulate(initial, params, SimConfig(dt=0.005, t_final=2.0)), out)
+    grid = Grid1D(20 * math.pi, 1024)
+    initial = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", 0.4, 1e-4))
+    _run("sideband-semi-implicit.", simulate(initial, params, SimConfig(
+        dt=0.01, t_final=3.0, store_every=50)), out)
     grid = Grid1D(20 * math.pi, 4096)
     initial = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", 0.4, 1e-4))
     _run("sideband-n4096.", simulate(initial, params, SimConfig(
