@@ -75,13 +75,10 @@ def dispersion(
     return (A[0, 0] - lam) * (A[1, 1] - lam) - A[0, 1] * A[1, 0]
 
 
-def _roots_at(base, params, nu, c_ph):
-    """Two roots of the quadratic dispersion relation at fixed nu."""
-    tr0 = trace_closed_form(base, params, nu)
-    tr = tr0 + 2 * c_ph * nu
-    det = det_closed_form(base, params, nu) + c_ph * nu * (tr0 + c_ph * nu)
-    disc = np.sqrt(tr * tr / 4 - det + 0j)
-    return tr / 2 + disc, tr / 2 - disc
+def _roots_at(base, params, nu):
+    """(half, disc): the eigenvalues of A(nu, 0) are half +- disc, nu an array or scalar."""
+    half = trace_closed_form(base, params, nu) / 2
+    return half, np.sqrt(half * half - det_closed_form(base, params, nu) + 0j)
 
 
 @dataclass
@@ -92,41 +89,38 @@ class SpectrumBranch:
     lam: np.ndarray
     branch_id: int
 
-    def residuals(self, base: Wavetrain, params: ModelParams, c_ph: float = 0.0) -> list:
-        """|d_{c_ph}(lambda, i ell)| at each sample of the branch."""
-        return [abs(dispersion(base, params, l, 1j * e, c_ph)) for e, l in zip(self.ell, self.lam)]
+    def residuals(self, base: Wavetrain, params: ModelParams, c_ph: float = 0.0) -> np.ndarray:
+        """|d_{c_ph}(lambda, i ell)| at each sample, from the matrix form A(i ell, c_ph)."""
+        return np.abs(dispersion(base, params, self.lam, 1j * self.ell, c_ph))
 
     def max_residual(self, base: Wavetrain, params: ModelParams, c_ph: float = 0.0) -> float:
-        return float(max(self.residuals(base, params, c_ph)))
+        return float(np.max(self.residuals(base, params, c_ph)))
 
 
-def spectrum_curves(
-    base: Wavetrain,
-    params: ModelParams,
-    ell_max: float,
-    n_samples: int,
-    c_ph: float = 0.0,
-):
-    """Sample both spectrum branches over ell in [0, ell_max].
+def spectrum_curves(base: Wavetrain, params: ModelParams, ell_max: float, n_samples: int,
+                    c_ph: float = 0.0) -> tuple[SpectrumBranch, SpectrumBranch]:
+    """Sample both spectrum branches over ell in [0, ell_max], all samples at once.
 
-    Branch 1 passes through the origin (translation mode); roots are matched
-    along the ell-grid by nearest-neighbor continuation, seeded at ell = 0
-    with the explicit eigenvalues {0, alpha r^2 (k^2 - mu)} of A(0, 0).
+    Branch 1 passes through the origin (translation mode): at ell = 0 the
+    branches are seeded with the eigenvalues {0, alpha r^2 (k^2 - mu)} of
+    A(0, 0).  Labels follow the root disc of the c_ph = 0 discriminant, turned
+    back where it jumps across its branch cut (Re(disc_i conj(disc_i-1)) < 0);
+    on a fine grid this is nearest-neighbour continuation.  The comoving frame
+    then adds c_ph * i ell to both, so real parts and labels do not depend on c_ph.
     """
     _require_amplitude(base)
     if n_samples < 2:
         raise ConfigError("need at least 2 samples")
+    if not (math.isfinite(ell_max) and math.isfinite(c_ph)):
+        raise ConfigError(f"ell_max = {ell_max} and c_ph = {c_ph} must be finite")
     ells = np.linspace(0.0, ell_max, n_samples)
-    lam1 = np.empty(n_samples, dtype=complex)
-    lam2 = np.empty(n_samples, dtype=complex)
-    lam1[0] = 0.0
-    lam2[0] = params.alpha * base.r ** 2 * (base.k ** 2 - params.mu)
-    for i, ell in enumerate(ells[1:], start=1):
-        ra, rb = _roots_at(base, params, 1j * ell, c_ph)
-        # nearest-neighbor branch continuation
-        keep = abs(ra - lam1[i - 1]) + abs(rb - lam2[i - 1])
-        swap = abs(rb - lam1[i - 1]) + abs(ra - lam2[i - 1])
-        lam1[i], lam2[i] = (ra, rb) if keep <= swap else (rb, ra)
+    half, disc = _roots_at(base, params, 1j * ells)
+    disc[0] = -half[0]
+    turn = (disc[1:] * disc[:-1].conj()).real < 0
+    disc[1:] *= np.cumprod(np.where(turn, -1.0, 1.0))
+    lam1, lam2 = half + disc, half - disc
+    lam1.imag += c_ph * ells
+    lam2.imag += c_ph * ells
     return (
         SpectrumBranch(ells, lam1, branch_id=1),
         SpectrumBranch(ells, lam2, branch_id=2),

@@ -45,8 +45,10 @@ def wavetrain_at(params: ModelParams, k: float, lower_branch: bool = False):
     """Wavetrain with wavenumber k, or None if it does not exist.
 
     Raises DegenerateFamilyError when mu = k^2 and h = beta/alpha (theta is
-    unspecified there).
+    unspecified there), and ConfigError when k is not finite.
     """
+    if not math.isfinite(k):
+        raise ConfigError(f"k = {k} must be finite")
     b = params.force_balance
     denom = params.mu - k * k
     if denom == 0.0:

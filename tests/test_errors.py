@@ -27,6 +27,12 @@ def _e3_field():
         (lambda: e3_eigenvalues(PARAMS, 0, np.linspace(0.0, 1.0, 3)), ConfigError),
         (lambda: spectrum_curves(wavetrain_at(PARAMS, 0.6), PARAMS, 2.0, n_samples=1),
          ConfigError),
+        (lambda: spectrum_curves(wavetrain_at(PARAMS, 0.6), PARAMS, math.nan, 4), ConfigError),
+        (lambda: spectrum_curves(wavetrain_at(PARAMS, 0.6), PARAMS, 2.0, 4, c_ph=math.inf),
+         ConfigError),
+        (lambda: wavetrain_at(ModelParams(1.0, 0.0, 1.0, 0.5), math.nan), ConfigError),
+        (lambda: wavetrain_at(ModelParams(1.0, 0.0, 1.0, 0.5), math.inf), ConfigError),
+        (lambda: wavetrain_at(ModelParams(1.0, 0.0, 1.0, 0.0), math.inf), ConfigError),
         (lambda: Grid1D(2 * math.pi, 64.5), ConfigError),
         (lambda: Grid1D(2 * math.pi, 64.0), ConfigError),
         (lambda: MagnetizationField(GRID, 2.0 * _e3_field().values).check_unit_norm(),
@@ -39,7 +45,9 @@ def _e3_field():
         (lambda: small_amplitude_bifurcation(ModelParams(1.0, 0.0, -2.0, 0.5), 2.0, 0.0),
          NoLocalBifurcation),
     ],
-    ids=["e3-sign-0", "spectrum-1-sample", "grid-size-fractional", "grid-size-float",
+    ids=["e3-sign-0", "spectrum-1-sample", "spectrum-ell-max-nan", "spectrum-c-ph-inf",
+         "wavetrain-k-nan", "wavetrain-k-inf", "wavetrain-k-inf-h0", "grid-size-fractional",
+         "grid-size-float",
          "non-unit-field", "t-final-negative", "frequency-1-sample", "perturbation-unknown",
          "integral-at-pole", "no-bifurcation-wavenumber"],
 )

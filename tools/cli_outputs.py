@@ -10,8 +10,8 @@ message and exit code is byte-identical.
 
 The list is the benchmark's cli-sweep (`SWEEP` in perfbench/workloads.py,
 read, never edited), six of its runs again with --format json, a few longer
-runs, and runs that must fail with exit 2 (a bad setting) or exit 3 (a
-numerical failure).
+runs, two spectrum runs in a comoving frame, and runs that must fail with
+exit 2 (a bad setting) or exit 3 (a numerical failure).
 """
 
 from __future__ import annotations
@@ -85,6 +85,10 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
                         "--amplitude", "-1", "--t-final", "0.05"], None),
     ("seed-negative", ["simulate", "--alpha", "1", "--initial", "e3", "--perturbation", "noise",
                        "--amplitude", "0.1", "--seed", "-1", "--t-final", "0.05"], None),
+    # the comoving frame: the sweep's spectrum run, and a coarse grid at a large c_ph
+    ("spectrum-c-ph", {n: a for n, a, _ in SWEEP}["spectrum"] + ["--c-ph", "1"], ".csv"),
+    ("spectrum-coarse-c-ph", ["spectrum", *MODEL, "--k", "0.3", "--ell-max", "2", "--n-samples",
+                              "5", "--c-ph", "20"], ".csv"),
     # the constant-state fallback has no comoving frame
     ("spectrum-e3-c-ph", ["spectrum", "--alpha", "1", "--mu", "-1", "--h", "2", "--k", "0",
                           "--n-samples", "3", "--c-ph", "5"], None),

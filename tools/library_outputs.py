@@ -22,7 +22,9 @@ fast-front preset (the call the fast-front shot makes), two
 `monotone_drift_check` runs (its terminal event with dense output; the event
 stops one of them), and a portrait sweep: the equilibria, connections and
 homoclinic saddle of the stationary reduction on the phaseplane, cohex and
-wt-cyl-q presets and 320 random resonant sets, half of them with C = 0.  The
+wt-cyl-q presets and 320 random resonant sets, half of them with C = 0, and
+both `spectrum_curves` branches with their residuals at c_ph = 0, 1 and -3,
+on the cli-sweep's spectrum problem and 40 random wavetrains.  The
 second form prints, for each array, "equal" when both files hold the same
 bytes (so -0.0 and 0.0 differ), "equal values, other bytes" when only signed
 zeros or NaN payloads differ, and otherwise the largest absolute difference;
@@ -99,6 +101,33 @@ def _portrait_sweep(out):
     out["portrait.connections"] = np.array(connections)
     out["portrait.saddles"] = np.array(saddles)
     out["portrait.profiles"] = np.array(profiles)
+
+
+def _spectrum(out):
+    from llgs.model import ModelParams
+    from llgs.spectrum import spectrum_curves
+    from llgs.wavetrains import wavetrain_at
+
+    # (params, wavetrain, ell_max, n_samples): the cli-sweep's spectrum run, then random
+    # wavetrains with r > 0 on ell-grids no coarser than 0.2
+    params = ModelParams(1.0, 0.0, 1.0, 0.5)
+    cases = [(params, wavetrain_at(params, 0.3), 2.0, 2001)]
+    rng = np.random.default_rng(29)
+    while len(cases) < 41:
+        params = ModelParams(rng.uniform(0.1, 3.0), rng.uniform(-1.0, 1.0),
+                             rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))
+        k, ell_max = rng.uniform(0.0, 2.0), rng.uniform(0.05, 8.0)
+        wt = wavetrain_at(params, k)
+        if wt is not None and wt.r > 0.0:
+            cases.append((params, wt, ell_max, math.ceil(ell_max / rng.uniform(0.01, 0.2)) + 1))
+    for c_ph in (0.0, 1.0, -3.0):
+        rows = []
+        for params, wt, ell_max, n in cases:
+            b1, b2 = spectrum_curves(wt, params, ell_max, n, c_ph)
+            rows.append(np.array([b1.lam, b2.lam, b1.residuals(wt, params, c_ph),
+                                  b2.residuals(wt, params, c_ph)]))
+        out[f"spectrum-sweep.c_ph{c_ph:g}"] = rows[0]
+        out[f"spectrum-random.c_ph{c_ph:g}"] = np.concatenate(rows[1:], axis=1)
 
 
 def compute() -> dict:
@@ -230,6 +259,7 @@ def compute() -> dict:
         out[f"drift-{name}.Q"] = np.array([report.xi, report.Q_values])
         out[f"drift-{name}.crossing"] = np.array([report.monotone, crossing])
     _portrait_sweep(out)
+    _spectrum(out)
     return out
 
 
