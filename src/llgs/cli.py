@@ -358,8 +358,6 @@ def cmd_simulate(args, cp):
             raise ConfigError(f"no wavetrain exists at k = {opts['k']} for these parameters")
         initial = build_wavetrain_initial(wt, grid, pert)
     else:  # e3
-        if pert.kind == "sideband":
-            raise ConfigError("a sideband perturbation needs initial = wavetrain, not e3")
         values = np.zeros((grid.n, 3))
         values[:, 2] = opts["sign"]
         initial = _perturb(MagnetizationField(grid, values), pert)

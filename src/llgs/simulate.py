@@ -19,14 +19,15 @@ as in `model`), allocates no array, and is bit-equal to the (n, 3)
 formulas.  `simulate` transposes only at entry, when it records diagnostics
 or a snapshot, and at exit; everything it returns is (n, 3).  Its loop reads
 the config once and takes the time of a step only when it records or
-stores; a record tests finiteness and takes the norm drift on the (3, n)
-state, into scratch allocated once, and the energy and phi0 from the (n, 3)
-copy.
+stores; a record takes the norm drift on the (3, n) state, into scratch
+allocated once, as its finiteness test, and the energy and phi0 from the
+(n, 3) copy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -80,6 +81,13 @@ class SimConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (self.t_final >= 0 and math.isfinite(self.t_final)):
             raise ConfigError(f"t_final must be non-negative and finite, got {self.t_final}")
+        try:
+            operator.index(self.diag_every), operator.index(self.store_every)
+        except TypeError:
+            raise ConfigError(
+                f"diag_every and store_every must be integers, got "
+                f"{self.diag_every!r} and {self.store_every!r}"
+            ) from None
         if self.diag_every < 1 or self.store_every < 1:
             raise ConfigError(
                 f"diag_every and store_every must be at least 1, got "
@@ -241,7 +249,7 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
     grid = initial.grid
     step_fn = config.validate(grid, params)
     m = initial.values.T.copy()  # the (3, n) state, stepped in place
-    norm, sq, finite = np.empty(grid.n), np.empty((3, grid.n)), np.empty((3, grid.n), bool)
+    norm, sq = np.empty(grid.n), np.empty((3, grid.n))
     t0, dt = initial.time, config.dt
     diag_every, store_every = config.diag_every, config.store_every
     n_steps = int(round(config.t_final / dt))
@@ -251,12 +259,13 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
     snap_t, snaps = [t0], [values]
 
     def record(t, values):
-        if not np.isfinite(m, finite).all():
+        drift = _norm_drift(m, norm, sq)  # not finite exactly when m is not
+        if not math.isfinite(drift):
             raise BlowupError(
                 f"NaN at t = {t:.4g}: finite-time blow-up or under-resolution"
             )
         times.append(t)
-        drifts.append(_norm_drift(m, norm, sq))
+        drifts.append(drift)
         energies.append(energy(MagnetizationField(grid, values, t), params))
         phis.append(math.atan2(values[0, 1], values[0, 0]))
 
@@ -300,47 +309,81 @@ class PerturbationSpec:
 
 
 def check_commensurate(k: float, grid: Grid1D) -> int:
-    """The Fourier mode index k*L/(2 pi) of k, which must be an integer to within 1e-9."""
+    """The Fourier mode index k*L/(2 pi) of k, which must be an integer to within 1e-9
+    and below the Nyquist mode n/2 in modulus (a mode at or above it aliases)."""
     cycles = k * grid.length / (2 * math.pi)
+    if not math.isfinite(cycles):
+        raise CommensurabilityError(f"k = {k} is not a finite wavenumber on L = {grid.length}")
     if abs(cycles - round(cycles)) > 1e-9:
         raise CommensurabilityError(
             f"k = {k} puts {cycles:.6f} wavelengths on L = {grid.length}; "
             "k*L must be a multiple of 2*pi"
         )
+    _check_below_nyquist(f"k = {k}", round(cycles), grid)
     return round(cycles)
+
+
+def _check_below_nyquist(name: str, mode: int, grid: Grid1D) -> None:
+    """Raise a CommensurabilityError naming `name` unless |mode| is below n/2."""
+    if abs(mode) >= grid.n / 2:
+        raise CommensurabilityError(
+            f"{name} reaches grid mode {mode}; n = {grid.n} points alias every mode "
+            f"at or above n/2 = {grid.n / 2:g} in modulus"
+        )
+
+
+def _sideband_modes(k: float, ell: float, grid: Grid1D) -> tuple[int, int]:
+    """The grid modes of k - ell and k + ell, each below the Nyquist mode n/2."""
+    i_k, i_ell = check_commensurate(k, grid), check_commensurate(ell, grid)
+    _check_below_nyquist(f"k +- ell = {k} +- {ell}", abs(i_k) + abs(i_ell), grid)
+    return i_k - i_ell, i_k + i_ell
 
 
 def build_wavetrain_initial(
     wt: Wavetrain, grid: Grid1D, perturbation: PerturbationSpec | None = None
 ) -> MagnetizationField:
-    """Exact wavetrain sample, optionally perturbed in the tangent space."""
+    """The wavetrain sampled on the grid, with `perturbation` applied by `_perturb`."""
     check_commensurate(wt.k, grid)
-    if perturbation is None or perturbation.kind != "sideband":
-        return _perturb(wavetrain_field(wt, grid), perturbation)
-    check_commensurate(perturbation.ell, grid)
-    x = grid.x
-    a = perturbation.amplitude
-    theta0 = -wt.theta if wt.lower_branch else wt.theta
-    theta = np.full(grid.n, theta0) + a * np.cos(perturbation.ell * x)
-    phi = wt.k * x + a * np.sin(perturbation.ell * x)
-    return MagnetizationField(grid, _unit_vectors(theta, phi))
+    return _perturb(wavetrain_field(wt, grid), perturbation, wt)
 
 
-def _perturb(fld: MagnetizationField, perturbation: PerturbationSpec | None) -> MagnetizationField:
-    """The base field plus seeded tangent noise, for kind "noise"; as is for "none".
+def _perturb(fld: MagnetizationField, perturbation: PerturbationSpec | None,
+             wt: Wavetrain | None = None) -> MagnetizationField:
+    """The base field `fld` with `perturbation` applied; the one reader of a PerturbationSpec.
 
-    Wavetrain and constant-state initial data both draw their noise here.
+    - "none" (or None): `fld` as is, on any base.
+    - "noise": `fld` plus tangent noise of standard deviation `amplitude`
+      (finite, >= 0) drawn from `seed` (None or an integer >= 0), on any base.
+    - "sideband": theta0 + a*cos(ell*x), k*x + a*sin(ell*x), with a finite;
+      needs the wavetrain `wt` that `fld` samples, and ell and the pair
+      k +- ell grid modes below n/2 (`check_commensurate`).
     """
     if perturbation is None or perturbation.kind == "none":
         return fld
-    if perturbation.kind != "noise":
-        raise ConfigError(f"unknown perturbation kind {perturbation.kind!r}")
-    if not perturbation.amplitude >= 0:
-        raise ConfigError(f"noise amplitude must be non-negative, got {perturbation.amplitude}")
-    if perturbation.seed is not None and perturbation.seed < 0:
-        raise ConfigError(f"noise seed must be non-negative, got {perturbation.seed}")
+    kind, a = perturbation.kind, perturbation.amplitude
+    if kind not in ("sideband", "noise"):
+        raise ConfigError(f"unknown perturbation kind {kind!r}")
+    if not math.isfinite(a):
+        raise ConfigError(f"{kind} amplitude must be finite, got {a}")
+    if kind == "sideband":
+        if wt is None:
+            raise ConfigError("a sideband perturbation needs initial = wavetrain, not e3")
+        _sideband_modes(wt.k, perturbation.ell, fld.grid)
+        x, ell = fld.grid.x, perturbation.ell
+        theta0 = -wt.theta if wt.lower_branch else wt.theta
+        theta = np.full(fld.grid.n, theta0) + a * np.cos(ell * x)
+        return MagnetizationField(fld.grid, _unit_vectors(theta, wt.k * x + a * np.sin(ell * x)))
+    if a < 0:
+        raise ConfigError(f"noise amplitude must be non-negative, got {a}")
+    if perturbation.seed is not None:
+        try:
+            operator.index(perturbation.seed)
+        except TypeError:
+            raise ConfigError(f"noise seed must be an integer, got {perturbation.seed!r}") from None
+        if perturbation.seed < 0:
+            raise ConfigError(f"noise seed must be non-negative, got {perturbation.seed}")
     rng = np.random.default_rng(perturbation.seed)
-    noise = rng.normal(scale=perturbation.amplitude, size=(fld.grid.n, 3))
+    noise = rng.normal(scale=a, size=(fld.grid.n, 3))
     m = fld.values
     noise -= np.sum(noise * m, axis=1, keepdims=True) * m  # tangent part
     return MagnetizationField(fld.grid, _project(m + noise))
@@ -355,18 +398,14 @@ def mode_amplitudes(traj: Trajectory, ell: float, carrier_k: float) -> np.ndarra
     """Magnitude of the +-ell sideband pair of m1 + i*m2 around the carrier.
 
     Moduli are invariant under the carrier's rotation about e3, so no
-    co-rotating demodulation in time is needed.  Both wavenumbers must be
-    grid modes (`check_commensurate`).
+    co-rotating demodulation in time is needed.  Both wavenumbers, and the
+    pair carrier_k +- ell, must be grid modes below n/2 (`check_commensurate`).
     """
     grid = traj.grid
-    i_car = check_commensurate(carrier_k, grid)
-    i_ell = check_commensurate(ell, grid)
-    n = grid.n
+    lo, hi = _sideband_modes(carrier_k, ell, grid)
     m = np.asarray(traj.values)
-    u_hat = np.fft.fft(m[..., 0] + 1j * m[..., 1], axis=1) / n
-    lo = np.abs(u_hat[:, (i_car - i_ell) % n])
-    hi = np.abs(u_hat[:, (i_car + i_ell) % n])
-    return np.hypot(lo, hi)
+    u_hat = np.fft.fft(m[..., 0] + 1j * m[..., 1], axis=1) / grid.n
+    return np.hypot(np.abs(u_hat[:, lo]), np.abs(u_hat[:, hi]))  # a mode < 0 indexes from the end
 
 
 @dataclass

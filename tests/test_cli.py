@@ -542,3 +542,11 @@ def test_store_every_is_no_option(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--alpha", "1", "--store-every", "5"])
     assert exc.value.code == 2
+
+
+def test_wavenumber_above_nyquist_is_config_error(capsys):
+    # pi/dx = 8 on n = 16: mode 10 would alias to mode -6
+    code, out, err = run(["simulate", "--alpha", "1", "--beta", "0.5", "--mu", "1", "--h", "1",
+                          "--k", "10", "--n", "16", "--t-final", "0.05", "--dt", "0.001"], capsys)
+    assert code == 2 and out == ""
+    assert "alias" in err

@@ -21,7 +21,7 @@ from llgs.coherent import CoherentAnsatz, CoherentProfile
 from llgs.errors import BlowupError, CFLError, CommensurabilityError, ConfigError
 from llgs.model import _ll_rhs, energy, rotate_about_e3, second_derivative
 from llgs.simulate import (DENSE_MAX_N, _STEPPERS, Trajectory, _dense_operators, _perturb,
-                           _project, cfl_limit, mode_amplitudes)
+                           _project, cfl_limit, check_commensurate, mode_amplitudes)
 from llgs.wavetrains import wavetrain_field
 
 from conftest import random_params, random_smooth_field, signed_zero_field
@@ -569,3 +569,75 @@ def test_semi_implicit_equals_complex_fft_form_to_stated_tolerance(n):
     assert np.abs(diag.phi0 - phi0).max() <= 1e-11
     assert np.abs(diag.energy - energies).max() <= 2e-15 * np.abs(energies).max()
     assert np.abs(diag.norm_drift - drifts).max() <= 1e-15
+
+
+# the sideband preset's wavetrain and sideband (modes 6 and 4 on L = 20 pi) on a coarse grid
+SIDEBAND_WT = wavetrain_at(PARAMS, 0.6)
+SIDEBAND_GRID = Grid1D(20 * np.pi, 64)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_non_finite_sideband_amplitude_is_config_error(amplitude):
+    spec = PerturbationSpec("sideband", 0.4, amplitude)
+    with pytest.raises(ConfigError, match="sideband amplitude must be finite"):
+        build_wavetrain_initial(SIDEBAND_WT, SIDEBAND_GRID, spec)
+
+
+def test_infinite_noise_amplitude_is_config_error():
+    spec = PerturbationSpec("noise", amplitude=math.inf, seed=1)
+    with pytest.raises(ConfigError, match="noise amplitude must be finite"):
+        build_wavetrain_initial(SIDEBAND_WT, SIDEBAND_GRID, spec)
+
+
+def test_non_integral_noise_seed_is_config_error():
+    spec = PerturbationSpec("noise", amplitude=1e-3, seed=1.5)
+    with pytest.raises(ConfigError, match="noise seed must be an integer"):
+        build_wavetrain_initial(SIDEBAND_WT, SIDEBAND_GRID, spec)
+
+
+def test_sideband_needs_a_wavetrain_base():
+    e3 = MagnetizationField(SIDEBAND_GRID, np.tile([0.0, 0.0, 1.0], (SIDEBAND_GRID.n, 1)))
+    with pytest.raises(ConfigError, match="a sideband perturbation needs initial = wavetrain"):
+        _perturb(e3, PerturbationSpec("sideband", 0.4, 1e-4))
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_non_finite_wavenumber_is_commensurability_error(k):
+    with pytest.raises(CommensurabilityError, match="not a finite wavenumber"):
+        check_commensurate(k, SIDEBAND_GRID)
+    fld = wavetrain_field(SIDEBAND_WT, SIDEBAND_GRID)
+    traj = Trajectory(SIDEBAND_GRID, np.zeros(1), fld.values[None])
+    with pytest.raises(CommensurabilityError):
+        measure_growth_rate(traj, k, 0.6)
+    with pytest.raises(CommensurabilityError):
+        measure_growth_rate(traj, 0.4, k)
+
+
+@pytest.mark.parametrize("n", [16, 15])
+def test_grid_modes_lie_below_nyquist(n):
+    # on L = 2 pi, k is mode k; a mode at or above n/2 aliases to one below it
+    grid = Grid1D(2 * np.pi, n)
+    top = (n - 1) // 2
+    assert check_commensurate(top, grid) == top and check_commensurate(-top, grid) == -top
+    for k in (top + 1, -(top + 1), 10):
+        with pytest.raises(CommensurabilityError, match="alias"):
+            check_commensurate(k, grid)
+
+
+def test_sideband_pair_lies_below_nyquist():
+    # carrier mode 6: ell = 0.1 puts the pair on modes 5 and 7, ell = 0.2 reaches 8 = n/2
+    grid = Grid1D(20 * np.pi, 16)
+    fld = build_wavetrain_initial(SIDEBAND_WT, grid, PerturbationSpec("sideband", 0.1, 1e-4))
+    traj = Trajectory(grid, np.zeros(1), fld.values[None])
+    assert mode_amplitudes(traj, 0.1, 0.6)[0] > 0
+    with pytest.raises(CommensurabilityError, match="alias"):
+        build_wavetrain_initial(SIDEBAND_WT, grid, PerturbationSpec("sideband", 0.2, 1e-4))
+    with pytest.raises(CommensurabilityError, match="alias"):
+        mode_amplitudes(traj, 0.2, 0.6)
+
+
+@pytest.mark.parametrize("counts", [{"diag_every": math.nan}, {"diag_every": 2.5},
+                                    {"store_every": 2.5}, {"store_every": math.inf}])
+def test_sample_counts_must_be_integers(counts):
+    with pytest.raises(ConfigError, match="must be integers"):
+        SimConfig(dt=0.1, t_final=1.0, **counts)

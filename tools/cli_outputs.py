@@ -41,6 +41,9 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
     ("wavetrain-noise", ["simulate", *WAVETRAIN, "--L", "62.83185307179586", "--k", "0.6",
                          "--perturbation", "noise", "--amplitude", "1e-3", "--seed", "2",
                          "--t-final", "1"], ".csv"),
+    # the sideband preset's wavetrain, unperturbed
+    ("wavetrain-plain", ["simulate", "--preset", "sideband", "--perturbation", "none",
+                         "--t-final", "2"], ".csv"),
     ("small-amplitude", ["coherent", "--mode", "small-amplitude", *MODEL, "--s", "5"], ".json"),
     ("drift", ["coherent", "--mode", "drift", "--alpha", "1", "--beta", "0.5", "--mu", "1",
                "--h", "0", "--omega-freq", "0.7"], ".json"),
@@ -77,6 +80,9 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
     ("commensurability-sideband", ["simulate", *WAVETRAIN, "--k", "0", "--perturbation",
                                    "sideband", "--ell", "0.3", "--amplitude", "0.01",
                                    "--t-final", "0.1"], None),
+    # pi/dx = 8 on n = 16, so mode 10 would alias to mode -6
+    ("above-nyquist", ["simulate", *WAVETRAIN, "--k", "10", "--n", "16", "--t-final", "0.05",
+                       "--dt", "0.001"], None),
     ("degenerate-family", ["simulate", "--alpha", "1", "--mu", "1", "--k", "1", "--t-final",
                            "0.1"], None),
     ("mu-nan", ["classify", "--alpha", "1", "--mu", "nan"], None),

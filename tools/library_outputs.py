@@ -9,8 +9,11 @@ problems and off their grid sizes (semi-implicit at n = 96, which is not a
 power of two, and at n = 192 and 193, the last size the step applies its
 operators as dense matrices and the first it takes the FFT; the sideband
 problem semi-implicit at n = 1024; and 300 RK4 steps at n = 4096), the
-equilibrium preset's run (beta = 0, an exact +e3 field) and 300 RK4 steps
-with beta = 0, where the kernel's f holds signed zeros, both spectral
+initial fields that `build_wavetrain_initial` and `_perturb` build from the
+sideband problem's wavetrain on both branches (unperturbed, sideband, noise)
+and from +e3 and -e3 (unperturbed, noise), the equilibrium preset's run
+(beta = 0, an exact +e3 field) and 300 RK4 steps with beta = 0, where the
+kernel's f holds signed zeros, both spectral
 derivatives at n = 64 (1-D and (n, 3) input), `to_spherical`'s phi and
 `local_wavenumber` of fields with pole points, `norm_drift` and `energy`
 ("fd" and "spectral") of F-ordered and strided fields, `mode_amplitudes` on
@@ -178,6 +181,21 @@ def compute() -> dict:
     initial = build_wavetrain_initial(wt, grid, PerturbationSpec("sideband", 0.4, 1e-4))
     _run("sideband-n4096.", simulate(initial, params, SimConfig(
         dt=1e-4, t_final=0.03, integrator="rk4", diag_every=50, store_every=100)), out)
+
+    # the initial fields of every base and perturbation kind: the sideband problem's
+    # wavetrain on both branches, and +-e3
+    grid = Grid1D(20 * math.pi, 64)
+    for branch, lower in (("upper", False), ("lower", True)):
+        wt = wavetrain_at(params, 0.6, lower_branch=lower)
+        for kind, spec in (("none", None), ("sideband", PerturbationSpec("sideband", 0.4, 1e-4)),
+                           ("noise", PerturbationSpec("noise", amplitude=1e-4, seed=3))):
+            out[f"initial.wavetrain-{branch}-{kind}"] = build_wavetrain_initial(
+                wt, grid, spec).values
+    for sign, name in ((1.0, "plus"), (-1.0, "minus")):
+        e3 = MagnetizationField(grid, np.tile([0.0, 0.0, sign], (grid.n, 1)))
+        for kind, spec in (("none", None), ("noise", PerturbationSpec("noise", amplitude=1e-4,
+                                                                      seed=3))):
+            out[f"initial.e3-{name}-{kind}"] = _perturb(e3, spec).values
 
     # beta = 0: the equilibrium preset's exact +e3 field, and an RK4 run off +e3
     e3_grid = Grid1D(2 * math.pi, 64)
