@@ -13,18 +13,20 @@ stepping is
     (1 + alpha^2) dm/dt = -m x g - alpha m x (m x g),   g = m_xx - f(m),
     f(m) = (mu*m3 - h) e3 + beta m x e3.
 
-Its one kernel, `_LLKernel`, evaluates this on component-first (3, n)
-arrays, each row one component, contiguous along the grid: a stepper keeps its
-state in that layout and builds the kernel once.  Both cross products are
-taken on cyclically extended (5, n) buffers with rows m1 m2 m3 m1 m2, so each
-is two products and one difference over (3, n).  The grid is periodic; one
-3-point stencil, `_Laplacian`, works along the last axis, and
-`_laplacian_symbol` gives its eigenvalues.  The norms behind
-the projection and the norm drift, `_norms`, square the (3, n) field in one
-call and add its rows in np.linalg.norm's order.  The (n, 3) entry points
-(`_ll_rhs`, `second_derivative`, `_project`, `MagnetizationField.norm_drift`)
-call the same code on transposed views; the module keeps no kernel or buffer
-between calls.  This layout generalises to (3, B, n) batches.
+Its one kernel, `_LLKernel`, evaluates dt times this on component-first
+(3, n) arrays, each row one component, contiguous along the grid: a stepper
+keeps its state in that layout and builds the kernel once.  It folds
+-dt/(1 + alpha^2), f and the stencil's weights into one (3, 7) matrix (see
+its docstring).  Both cross products are taken on cyclically extended (5, n)
+buffers with rows m1 m2 m3 m1 m2, so each is two products and one
+difference over (3, n).  The grid is periodic; `second_derivative` is the
+3-point stencil along axis 0, and `_laplacian_symbol` gives its
+eigenvalues.  The norms behind the projection and the norm drift, `_norms`,
+square the (3, n) field in one call and add its rows in np.linalg.norm's
+order.  The (n, 3) entry points (`_ll_rhs`, `_project`,
+`MagnetizationField.norm_drift`) call the same code on transposed views;
+the module keeps no kernel or buffer between calls.  This layout
+generalises to (3, B, n) batches.
 
 The code a time step runs passes each ufunc its output positionally or uses
 the in-place operator (`a += b` is `np.add(a, b, out=a)`), and copies with
@@ -46,8 +48,6 @@ import numpy as np
 from .errors import ConfigError, SouthPoleError
 
 E3 = np.array([0.0, 0.0, 1.0])
-_TWO = np.array(2.0)  # 0-d, for `_Laplacian`
-_TWO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -161,57 +161,17 @@ def first_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np
     return out
 
 
-class _Laplacian:
-    """Periodic 3-point d^2/dx^2 of v along its last axis, written to out on each call.
-
-    (v[i+1] - 2 v[i]) + v[i-1], wrapping around, then / dx^2: bit-equal to
-    the np.roll stencil.  tmp receives 2 v; allocated when not given.  v, out
-    and tmp share one C- or F-contiguous layout, so a shift by one grid point
-    is one shift of their flat memory and no ufunc needs numpy's general
-    iterator, which allocates.  v[i+1] - 2 v[i] is one subtract of shifted
-    flat views and the last column's v[0] - 2 v[-1] one more; the first
-    column, which the shift gets wrong, is redone: seven ufunc calls.  The
-    views are taken once; the scalars are 0-d arrays, as a ufunc converts a
-    Python float on every call.
-    """
-
-    def __init__(self, v: np.ndarray, grid: Grid1D, out: np.ndarray, tmp=None):
-        twice = np.empty_like(v) if tmp is None else tmp
-        shift = v.strides[-1] // v.itemsize  # one grid point in flat memory
-        # order "A": memory order, a view of a C- or F-contiguous array
-        flat_v, flat_out = v.reshape(-1, order="A"), out.reshape(-1, order="A")
-        flat_twice = twice.reshape(-1, order="A")
-        self._v, self._out, self._twice = v, out, twice
-        self._dx2 = np.array(grid.dx ** 2)
-        self._next = (flat_v[shift:], flat_twice[:-shift], flat_out[:-shift])  # v[i+1] - 2 v[i]
-        self._next_wrap = (v[..., 0], twice[..., -1], out[..., -1])
-        self._prev = (flat_out[shift:], flat_v[:-shift])  # out[i] += v[i-1]
-        # the first column: out = (v[1] - 2 v[0]) + v[-1]
-        self._first = (v[..., 1], twice[..., 0], out[..., 0])
-        self._first_prev = (out[..., 0], v[..., -1])
-
-    def __call__(self) -> np.ndarray:
-        out = self._out
-        np.multiply(self._v, _TWO, self._twice)
-        np.subtract(*self._next)
-        np.subtract(*self._next_wrap)
-        o, v = self._prev
-        o += v
-        np.subtract(*self._first)
-        o, v = self._first_prev
-        o += v
-        out /= self._dx2
-        return out
-
-
 def second_derivative(values: np.ndarray, grid: Grid1D, method: str = "fd") -> np.ndarray:
     """d^2/dx^2 along axis 0 of the periodic grid, 3-point stencil or spectral."""
     if _spectral(method):
         return _fourier(values, -grid.wavenumbers() ** 2)
-    values = np.ascontiguousarray(values)  # the stencil shifts flat memory
-    out = np.empty_like(values)
-    # the transposes put axis 0 last; a 1-D array is its own transpose
-    _Laplacian(values.T, grid, out.T)()
+    twice, out = 2 * values, np.empty_like(values)
+    # (v[i+1] - 2 v[i]) + v[i-1], wrapping around, then / dx^2; bit-equal to the np.roll stencil
+    np.subtract(values[1:], twice[:-1], out=out[:-1])
+    np.subtract(values[:1], twice[-1:], out=out[-1:])
+    out[1:] += values[:-1]
+    out[:1] += values[-1:]
+    out /= grid.dx ** 2
     return out
 
 
@@ -339,8 +299,7 @@ class _Extended:
     once: at small n a slice costs a sixth of a ufunc call.
     """
 
-    def __init__(self, n: int):
-        buf = np.empty((5, n))
+    def __init__(self, buf: np.ndarray):
         self.rows = buf[:3]
         self._tail, self._head = buf[3:], buf[:2]
         self.shift1 = buf[1:4]  # rows x2 x3 x1
@@ -363,57 +322,93 @@ def _cross(a: _Extended, b: _Extended, out: np.ndarray, tmp: np.ndarray) -> np.n
 
 
 class _LLKernel:
-    """The Landau-Lifshitz right-hand side on (3, n) arrays, with its scratch.
+    """dt times the Landau-Lifshitz right-hand side on (3, n) arrays, with its scratch.
+
+    With s = -dt/(1 + alpha^2), g' = s g and c' = m x g', the right-hand
+    side is dt * dm/dt = c' + alpha m x c': the scale goes into g, so no pass
+    negates, scales or divides the result.  g' is one matrix product: a
+    (3, 7) matrix from `operator` times the rows lap, 1, m1, m2, m3 of one
+    buffer, which applies f(m) = (beta m2, -beta m1, mu m3 - h), the
+    Laplacian's scale and, when lap holds the neighbour sum m[i+1] + m[i-1],
+    the stencil's diagonal -2 m/dx^2.  The diagonal could be dropped, as
+    m x (2 m) is 0, but in the matrix it costs nothing and keeps the rounding
+    of the full stencil (dropping it moved the sideband run about six times
+    further from an 80-bit run of the same scheme).
 
     Allocate one per grid size and parameter set and reuse it: a caller
-    writes the field into `m.rows` before each `rhs` call.  Row views and
-    the parameters, as 0-d arrays, are taken once.
+    writes the field into `m.rows` and its Laplacian term into `lap` (or
+    calls `neighbour_sum`) before each `rhs` call.
     """
 
     def __init__(self, n: int, params: ModelParams):
-        self.m = _Extended(n)
-        self._g = _Extended(n)
-        self._c = _Extended(n)
-        self._tmp = np.empty((3, n))
-        self._m_rows, self._g_rows = tuple(self.m.rows), tuple(self._g.rows)
-        beta, mu, h, alpha = (float(v) for v in (params.beta, params.mu, params.h, params.alpha))
-        self._beta, self._neg_beta, self._mu, self._h, self._alpha, self._scale = (
-            np.array(v) for v in (beta, -beta, mu, h, alpha, 1.0 + alpha ** 2))
+        buf = np.empty((9, n))  # rows lap1 lap2 lap3 1 m1 m2 m3 m1 m2
+        buf[3] = 1.0
+        self.lap, self.m, self._operand = buf[:3], _Extended(buf[4:]), buf[:7]
+        self._g, self._c = _Extended(np.empty((5, n))), _Extended(np.empty((5, n)))
+        self._params, self._alpha = params, np.array(float(params.alpha))
+        m, lap = self.m.rows, self.lap
+        flat_m, flat_lap = m.reshape(-1), lap.reshape(-1)  # views: both are C-contiguous
+        # m[i+1] + m[i-1] along the flat memory; the first and last columns, which the
+        # shift takes from the neighbouring rows, are redone
+        self._stencil = ((flat_m[2:], flat_m[:-2], flat_lap[1:-1]),
+                         (m[:, 1], m[:, -1], lap[:, 0]), (m[:, 0], m[:, -2], lap[:, -1]))
 
-    def rhs(self, lap: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """dm/dt of the field in m.rows, with (3, n) Laplacian lap, written to (3, n) out.
+    def operator(self, dt: float, dx2: float | None = None) -> np.ndarray:
+        """The (3, 7) matrix from the rows lap, 1, m to g' = s (Lap m - f(m)), s = -dt/(1+alpha^2).
 
-        g = lap - f(m) is written out, and c = m x g and m x c are taken in
-        np.cross's operation order, so each element sees the operations of
-        the np.cross formula and the result equals it bit for bit.  out may
-        be a strided view; it must not overlap lap or the scratch.
+        Without dx2 the lap rows hold Lap m.  With it they hold the neighbour sum
+        m[i+1] + m[i-1], and the matrix applies the stencil's diagonal -2 m/dx^2 with
+        f's own multiples of m, at no extra pass.
         """
-        m, g, c, tmp = self.m, self._g, self._c, self._tmp
+        p = self._params
+        s = -dt / (1.0 + p.alpha ** 2)
+        op = np.zeros((3, 7))
+        op[0, 5], op[1, 4] = -s * p.beta, s * p.beta
+        op[2, 3], op[2, 6] = s * p.h, -s * p.mu
+        rows = [0, 1, 2]
+        op[rows, rows] = s if dx2 is None else s / dx2
+        if dx2 is not None:
+            op[rows, [4, 5, 6]] += -2.0 * op[0, 0]
+        return op
+
+    def neighbour_sum(self):
+        """lap = m[i+1] + m[i-1] of the field in m.rows, wrapping around."""
+        for args in self._stencil:
+            np.add(*args)
+
+    def rhs(self, op: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """dt * dm/dt of the field in m.rows and lap, for op = `operator(dt, ...)`, into (3, n) out.
+
+        out may be a strided view; it must not overlap the kernel's buffers.
+        """
+        m, g, c = self.m, self._g, self._c
         m.extend()
-        m1, m2, m3 = self._m_rows
-        g1, g2, g3 = self._g_rows
-        np.multiply(m2, self._beta, g1)  # f = (beta m2, -beta m1, mu m3 - h)
-        np.multiply(m1, self._neg_beta, g2)
-        np.multiply(m3, self._mu, g3)
-        g3 -= self._h
-        np.subtract(lap, g.rows, g.rows)
+        np.dot(op, self._operand, g.rows)  # np.matmul's gufunc call would allocate about 0.5 KB
         g.extend()
-        _cross(m, g, c.rows, tmp)
+        _cross(m, g, c.rows, out)
         c.extend()
-        mxc = _cross(m, c, g.rows, tmp)  # g is spent
-        mxc *= self._alpha
-        np.negative(c.rows, out)
-        out -= mxc
-        out /= self._scale
+        _cross(m, c, out, g.rows)  # g is spent
+        out *= self._alpha
+        out += c.rows
         return out
 
 
-def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:
-    """dm/dt of a (n, 3) array m with Laplacian lap: `_LLKernel.rhs` on transposed views."""
+def _ll_rhs(m: np.ndarray, lap: np.ndarray | None, params: ModelParams,
+            grid: Grid1D | None = None) -> np.ndarray:
+    """dm/dt of a (n, 3) array m with Laplacian lap: the kernel at dt = 1 on transposed views.
+
+    With lap None the kernel takes the neighbour sum on `grid`, as the steppers do.
+    """
     kernel = _LLKernel(len(m), params)
-    np.copyto(kernel.m.rows, m.T)
+    kernel.m.rows[...] = m.T
+    if lap is None:
+        kernel.neighbour_sum()
+        op = kernel.operator(1.0, grid.dx ** 2)
+    else:
+        kernel.lap[...] = lap.T
+        op = kernel.operator(1.0)
     out = np.empty_like(m)
-    kernel.rhs(lap.T, out.T)
+    kernel.rhs(op, out.T)
     return out
 
 
@@ -422,7 +417,8 @@ def rhs_landau_lifshitz(
 ) -> np.ndarray:
     """dm/dt in Landau-Lifshitz form; tangent to the sphere pointwise."""
     fld.check_unit_norm(1e-9)
-    return _ll_rhs(fld.values, second_derivative(fld.values, fld.grid, method), params)
+    lap = second_derivative(fld.values, fld.grid, method) if _spectral(method) else None
+    return _ll_rhs(fld.values, lap, params, fld.grid)
 
 
 def gilbert_residual(

@@ -4,19 +4,21 @@ Method of lines with a 3-point Laplacian, projected to the sphere after every
 step.  Two time steppers: classical RK4 (convergence studies), and a linearly
 implicit scheme, m <- m + P(dt*rhs(m)) with P = (I - dt*c*Lap)^{-1}, treating
 the stiff diffusion c d_xx, c = alpha/(1+alpha^2), implicitly (production
-runs, no dx^2 step barrier).  The semi-implicit step has one body at every
-n: up to DENSE_MAX_N points it applies the Laplacian and P as dense
-matrices, above it the stencil and one real FFT pair.  Used to
-cross-validate wavetrain frequency, sideband growth rates and coherent
-profiles against the analytical modules.
+runs, no dx^2 step barrier).  Both call `model._LLKernel`, which returns dt
+times the right-hand side.  RK4 feeds it the neighbour sum m[i+1] + m[i-1]
+at every n; the semi-implicit step does so above DENSE_MAX_N points, with
+one real FFT pair for P, and up to it applies the Laplacian and P as dense
+matrices.  Used to cross-validate wavetrain frequency, sideband growth rates
+and coherent profiles against the analytical modules.
 
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
 row per component.  The RK4 factory rejects a dt above `cfl_limit` before
-any buffer is built; each factory builds its buffers, `model._LLKernel` and
-its linear operators once; a step advances the state in place with ufuncs
-and matmuls that write to those buffers (their output passed positionally,
-as in `model`), allocates no array, and is bit-equal to the (n, 3)
-formulas.  `simulate` transposes only at entry, when it records diagnostics
+any buffer is built; each factory builds its buffers, the kernel, its
+(3, 7) operators and the linear operators once; a step advances the state
+in place with ufuncs and matrix products that write to those buffers (their
+output passed positionally, as in `model`), allocates no array, and is
+bit-equal to the (n, 3) formulas written in the kernel's operation order.
+`simulate` transposes only at entry, when it records diagnostics
 or a snapshot, and at exit; everything it returns is (n, 3).  Its loop reads
 the config once and takes the time of a step only when it records or
 stores; a record takes the norm drift on the (3, n) state, into scratch
@@ -38,7 +40,6 @@ from .model import (
     Grid1D,
     MagnetizationField,
     ModelParams,
-    _Laplacian,
     _laplacian_symbol,
     _LLKernel,
     _norm_drift,
@@ -135,7 +136,7 @@ def _dense_operators(grid: Grid1D, denominator: np.ndarray):
     1/dx^2, -2/dx^2 and 0.  P is circulant, P[i, j] = p[(i - j) mod n], with p
     the inverse FFT of 1/denominator, so it is the operator the FFT path
     applies.  Both are returned transposed and C-contiguous: a (3, n) state x
-    maps to x @ L.T and x @ P.T, one matmul each.
+    maps to x @ L.T and x @ P.T, one matrix product each.
     """
     j = np.arange(grid.n)
     p = np.fft.ifft(1.0 / denominator).real
@@ -149,27 +150,26 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
     c = alpha/(1+alpha^2) is the ellipticity constant.  In exact arithmetic
     this is P (m_n + dt*(rhs - c*Lap m_n)), as P (I - dt*c*Lap) m_n = m_n.  P
     uses the exact Fourier symbol of the 3-point Laplacian,
-    `_laplacian_symbol`, so the split is consistent with the stencil.  One
-    step body serves every n; only the Laplacian and P depend on it: at
-    n <= DENSE_MAX_N dense matrices (`_dense_operators`), one matmul each on
-    the (3, n) state; above it, the stencil, and a real FFT along the rows,
-    a divide by the symbol's first n//2 + 1 values and the inverse.  The
-    kernel, the operators and the buffers are built here, once.
+    `_laplacian_symbol`, so the split is consistent with the stencil.  The
+    kernel returns dt * rhs.  One step body serves every n; only the
+    Laplacian term and P depend on it: at n <= DENSE_MAX_N dense matrices
+    (`_dense_operators`), one matrix product each on the (3, n) state; above
+    it, the kernel's neighbour sum, and a real FFT along the rows, a divide
+    by the symbol's first n//2 + 1 values and the inverse.  The kernel, the
+    operators and the buffers are built here, once.
     """
     n = grid.n
     c = params.alpha / (1.0 + params.alpha ** 2)
     denominator = 1.0 - dt * c * _laplacian_symbol(grid)
-    dt = np.array(dt)  # 0-d, as in model._Laplacian
     kernel = _LLKernel(n, params)
-    x = kernel.m.rows
-    lap, k = np.empty((3, n)), np.empty((3, n))
+    x, lap, k = kernel.m.rows, kernel.lap, np.empty((3, n))
 
     if n <= DENSE_MAX_N:
         lap_t, solve_t = _dense_operators(grid, denominator)
-        laplacian = partial(np.matmul, x, lap_t, lap)
-        solve = partial(np.matmul, k, solve_t, lap)  # the Laplacian is spent
+        laplacian, op = partial(np.dot, x, lap_t, lap), kernel.operator(dt)
+        solve = partial(np.dot, k, solve_t, lap)  # the Laplacian is spent
     else:
-        laplacian = _Laplacian(x, grid, lap, k)
+        laplacian, op = kernel.neighbour_sum, kernel.operator(dt, grid.dx ** 2)
         # complex and (3, n//2 + 1), so dividing by it neither casts nor buffers
         half = np.tile(denominator[: n // 2 + 1], (3, 1)).astype(complex)
         spectrum = np.empty_like(half)
@@ -182,8 +182,7 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
     def step(m: np.ndarray):
         x[...] = m
         laplacian()
-        kernel.rhs(lap, k)
-        np.multiply(k, dt, k)
+        kernel.rhs(op, k)
         m += solve()
 
     return step
@@ -193,36 +192,35 @@ def _rk4(grid: Grid1D, params: ModelParams, dt: float):
     """Classical RK4 step of the full right-hand side.
 
     Explicit, so a dt above `cfl_limit` is a CFLError.  The step advances a
-    (3, n) field in place.  The kernel, the stencil, the stage input and the
-    stage, sum and Laplacian buffers are allocated here, once.
+    (3, n) field in place.  The kernel returns each stage's slope times
+    dt/2, dt/2, dt and dt/6, so the stage inputs are m plus a stage output
+    and the update is (a1 + 2 a2 + a3)/3 + a4.  The kernel, its operators
+    and the stage and sum buffers are allocated here, once.
     """
     limit = cfl_limit(grid, params)
     if dt > limit:
         raise CFLError(f"dt = {dt:.3e} exceeds the explicit bound {limit:.3e}")
     kernel = _LLKernel(grid.n, params)
     x = kernel.m.rows  # each stage's input
-    lap, k, acc, tmp = (np.empty((3, grid.n)) for _ in range(4))
-    laplacian, kernel_rhs = _Laplacian(x, grid, lap, tmp), kernel.rhs
-    # 0-d, as in model._Laplacian
-    half, sixth, two, dt = np.array(0.5 * dt), np.array(dt / 6.0), np.array(2.0), np.array(dt)
+    k, acc = np.empty((3, grid.n)), np.empty((3, grid.n))
+    half, full, sixth = (kernel.operator(h, grid.dx ** 2) for h in (0.5 * dt, dt, dt / 6.0))
+    third = np.array(1.0 / 3.0)  # 0-d, as a ufunc converts a Python float on every call
+    neighbour_sum, kernel_rhs = kernel.neighbour_sum, kernel.rhs
 
-    def rhs(out):
-        laplacian()
-        return kernel_rhs(lap, out)
+    def stage(op, out):
+        neighbour_sum()
+        return kernel_rhs(op, out)
 
     def step(m: np.ndarray):
         x[...] = m
-        rhs(acc)  # k1
-        np.add(m, np.multiply(acc, half, x), x)
-        rhs(k)  # k2
-        np.add(m, np.multiply(k, half, x), x)
-        np.add(acc, np.multiply(k, two, k), acc)  # k1 + 2 k2
-        rhs(k)  # k3
-        np.add(m, np.multiply(k, dt, x), x)
-        np.add(acc, np.multiply(k, two, k), acc)
-        rhs(k)  # k4
+        np.add(m, stage(half, acc), x)  # a1
+        np.add(m, stage(half, k), x)  # a2
+        np.add(acc, np.add(k, k, k), acc)
+        np.add(m, stage(full, k), x)  # a3
         np.add(acc, k, acc)
-        m += np.multiply(acc, sixth, acc)
+        stage(sixth, k)  # a4
+        np.add(np.multiply(acc, third, acc), k, acc)
+        m += acc
 
     return step
 
@@ -333,8 +331,12 @@ def _check_below_nyquist(name: str, mode: int, grid: Grid1D) -> None:
 
 
 def _sideband_modes(k: float, ell: float, grid: Grid1D) -> tuple[int, int]:
-    """The grid modes of k - ell and k + ell, each below the Nyquist mode n/2."""
+    """The grid modes of k - ell and k + ell, each below the Nyquist mode n/2, with ell not
+    mode 0 (that pair is the carrier itself)."""
     i_k, i_ell = check_commensurate(k, grid), check_commensurate(ell, grid)
+    if i_ell == 0:
+        raise CommensurabilityError(
+            f"ell = {ell} is grid mode 0 on L = {grid.length}: a sideband needs a nonzero mode")
     _check_below_nyquist(f"k +- ell = {k} +- {ell}", abs(i_k) + abs(i_ell), grid)
     return i_k - i_ell, i_k + i_ell
 
@@ -355,8 +357,8 @@ def _perturb(fld: MagnetizationField, perturbation: PerturbationSpec | None,
     - "noise": `fld` plus tangent noise of standard deviation `amplitude`
       (finite, >= 0) drawn from `seed` (None or an integer >= 0), on any base.
     - "sideband": theta0 + a*cos(ell*x), k*x + a*sin(ell*x), with a finite;
-      needs the wavetrain `wt` that `fld` samples, and ell and the pair
-      k +- ell grid modes below n/2 (`check_commensurate`).
+      needs the wavetrain `wt` that `fld` samples, and ell a nonzero grid
+      mode and the pair k +- ell grid modes below n/2 (`_sideband_modes`).
     """
     if perturbation is None or perturbation.kind == "none":
         return fld
@@ -399,7 +401,8 @@ def mode_amplitudes(traj: Trajectory, ell: float, carrier_k: float) -> np.ndarra
 
     Moduli are invariant under the carrier's rotation about e3, so no
     co-rotating demodulation in time is needed.  Both wavenumbers, and the
-    pair carrier_k +- ell, must be grid modes below n/2 (`check_commensurate`).
+    pair carrier_k +- ell, must be grid modes below n/2, and ell not mode 0
+    (`_sideband_modes`).
     """
     grid = traj.grid
     lo, hi = _sideband_modes(carrier_k, ell, grid)

@@ -416,12 +416,14 @@ def test_preset_keys_are_known(command, preset):
         (["simulate", "--alpha", "1", "--mu", "1", "--h", "0.5", "--k", "1"], None),
         (["simulate", "--alpha", "1", "--initial", "e3", "--perturbation", "noise",
           "--amplitude", "0.1", "--seed", "-1", "--t-final", "0.05"], None),
+        # ell = 0 is the carrier's own mode, not a sideband
+        (["simulate", "--preset", "sideband", "--ell", "0"], None),
     ],
     ids=["dt-zero", "dt-negative", "sign-2", "diag-every-zero", "n-2", "L-negative",
          "n-samples-1", "theta0-1", "n-k-negative", "e3-n-samples-negative",
          "e3-n-samples-1", "e3-c-ph", "k-incommensurate", "ell-incommensurate",
          "k-degenerate-family", "config-missing", "config-malformed", "value-unparsable",
-         "no-wavetrain", "seed-negative"],
+         "no-wavetrain", "seed-negative", "ell-zero"],
 )
 def test_out_of_range_setting_is_config_error(capsys, tmp_path, argv, edit):
     if edit is not None:

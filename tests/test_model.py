@@ -29,10 +29,12 @@ from llgs.model import (
     gilbert_residual,
     local_wavenumber,
     rotate_about_e3,
+    _unit_vectors,
     second_derivative,
 )
 
-from conftest import random_params, random_smooth_field, signed_zero_field
+from conftest import (kernel_operator, ll_rhs_vector_form, previous_ll_rhs, random_params,
+                      random_smooth_field, signed_zero_field)
 
 
 def test_params_reject_nonpositive_alpha():
@@ -234,30 +236,27 @@ def test_rhs_is_tangent(rng, grid):
         assert np.max(np.abs(np.sum(mdot * fld.values, axis=1))) < 1e-12
 
 
-def _ll_rhs_vector_form(m, lap, params):
-    """Reference: the right-hand side written with np.cross on (n, 3) arrays."""
-    f = np.zeros_like(m)
-    f[:, 2] = params.mu * m[:, 2] - params.h
-    f += params.beta * np.cross(m, np.array([0.0, 0.0, 1.0]))
-    mxg = np.cross(m, lap - f)
-    return (-mxg - params.alpha * np.cross(m, mxg)) / (1.0 + params.alpha ** 2)
-
-
 def test_ll_rhs_equals_vector_form_bitwise(rng, grid):
     for _ in range(20):
         params = random_params(rng)
         assert params.alpha != 1.0
         m = random_smooth_field(rng, grid).values
         lap = second_derivative(m, grid)
-        assert np.array_equal(_ll_rhs(m, lap, params), _ll_rhs_vector_form(m, lap, params))
+        assert np.array_equal(_ll_rhs(m, lap, params), ll_rhs_vector_form(m, lap, params))
+
+
+def _cross_rows(a, b):
+    """a x b of two (3, n) arrays, row by row."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _ll_rhs_row_form(m, lap, params):
-    """Reference: f's rows as m2 beta, m1 (-beta) and m3 mu - h, then np.cross, on (n, 3) arrays."""
-    f = np.stack([m[:, 1] * params.beta, m[:, 0] * -params.beta,
-                  m[:, 2] * params.mu - params.h], axis=1)
-    c = np.cross(m, lap - f)
-    return (-c - np.cross(m, c) * params.alpha) / (1.0 + params.alpha ** 2)
+    """Reference: the kernel's order on (3, n) rows, each cross product written out row by row."""
+    m = m.T
+    g = kernel_operator(params) @ np.vstack([lap.T, np.ones(m.shape[1]), m])
+    c = _cross_rows(m, g)
+    return (c + params.alpha * _cross_rows(m, c)).T
 
 
 @pytest.mark.parametrize("n", [3, 4, 64])
@@ -271,6 +270,58 @@ def test_ll_rhs_equals_row_form_bytewise_on_signed_zeros(rng, n):
             for lap in (rng.choice([-0.0, 0.0], size=(n, 3)), second_derivative(m, grid)):
                 got, want = _ll_rhs(m, lap, params), _ll_rhs_row_form(m, lap, params)
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 64, 1024])
+def test_kernel_fed_neighbour_sum_equals_it_fed_the_stencil(rng, n):
+    # m x Lap m = m x (m[i+1] + m[i-1])/dx^2 - m x (2 m)/dx^2, and the last term is 0 byte
+    # for byte (2 m is exact, so each row of the cross product is x - x): the diagonal
+    # changes only rounding.  The kernel fed the neighbour sum, with the diagonal in its
+    # operator (as the steppers and rhs_landau_lifshitz feed it), matches it fed the full
+    # stencil, in ulp of (4/dx^2 + max |f|) (1 + alpha)/(1 + alpha^2): measured worst 3 ulp
+    # over 2 x 3200 random and uniform fields at these n
+    for _ in range(20):
+        grid, params = Grid1D(rng.uniform(0.5, 50.0), n), random_params(rng)
+        uniform = np.tile(_unit_vectors(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)), (n, 1))
+        for m in (random_smooth_field(rng, grid).values, uniform):
+            assert (np.cross(m, 2 * m) / grid.dx ** 2).tobytes() == np.zeros((n, 3)).tobytes()
+            got = _ll_rhs(m, None, params, grid)
+            assert np.array_equal(got, ll_rhs_vector_form(m, np.roll(m, -1, 0) + np.roll(m, 1, 0),
+                                                          params, 1.0, grid.dx ** 2))
+            assert np.array_equal(rhs_landau_lifshitz(MagnetizationField(grid, m), params), got)
+            f_max = max(abs(params.beta), abs(params.mu) + abs(params.h))
+            scale = (4 / grid.dx ** 2 + f_max) * (1 + params.alpha) / (1 + params.alpha ** 2)
+            want = _ll_rhs(m, second_derivative(m, grid), params)
+            assert np.abs(got - want).max() <= 8 * np.spacing(scale)
+
+
+def _previous_ll_rhs_row_form(m, lap, params):
+    """The earlier row form: f's rows as m2 beta, m1 (-beta) and m3 mu - h, then np.cross."""
+    f = np.stack([m[:, 1] * params.beta, m[:, 0] * -params.beta,
+                  m[:, 2] * params.mu - params.h], axis=1)
+    c = np.cross(m, lap - f)
+    return (-c - np.cross(m, c) * params.alpha) / (1.0 + params.alpha ** 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 64, 1024])
+def test_ll_rhs_equals_previous_forms_to_stated_ulp(rng, n):
+    # the kernel scales g by -1/(1 + alpha^2) before the cross products, not their
+    # difference after them; in ulp of max |g| (1 + alpha)/(1 + alpha^2), the scale of
+    # the terms: measured worst 8.5 ulp over 6500 random fields (2000 at n = 3, 4 and 64,
+    # 500 at 1024), fd and spectral Laplacians, both forms
+    grid = Grid1D(rng.uniform(0.5, 50.0), n)
+    for _ in range(20):
+        params = random_params(rng)
+        m = random_smooth_field(rng, grid).values
+        for method in ("fd", "spectral"):
+            lap = second_derivative(m, grid, method)
+            got = _ll_rhs(m, lap, params)
+            f = np.stack([params.beta * m[:, 1], -params.beta * m[:, 0],
+                          params.mu * m[:, 2] - params.h], axis=1)
+            g = lap - f
+            ulp = np.spacing(np.abs(g).max() * (1 + params.alpha) / (1 + params.alpha ** 2))
+            for previous in (previous_ll_rhs, _previous_ll_rhs_row_form):
+                assert np.abs(got - previous(m, lap, params)).max() <= 16 * ulp
 
 
 def test_gilbert_form_equivalence(rng):

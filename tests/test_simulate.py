@@ -19,12 +19,13 @@ from llgs import (
 )
 from llgs.coherent import CoherentAnsatz, CoherentProfile
 from llgs.errors import BlowupError, CFLError, CommensurabilityError, ConfigError
-from llgs.model import _ll_rhs, energy, rotate_about_e3, second_derivative
+from llgs.model import energy, rotate_about_e3, second_derivative
 from llgs.simulate import (DENSE_MAX_N, _STEPPERS, Trajectory, _dense_operators, _perturb,
                            _project, cfl_limit, check_commensurate, mode_amplitudes)
 from llgs.wavetrains import wavetrain_field
 
-from conftest import random_params, random_smooth_field, signed_zero_field
+from conftest import (ll_rhs_vector_form, previous_ll_rhs, random_params, random_smooth_field,
+                      signed_zero_field)
 
 PARAMS = ModelParams(alpha=1.0, beta=0.5, mu=1.0, h=1.0)  # b = 0.5, supercritical
 
@@ -286,12 +287,48 @@ def _symbol_denominator(grid, params, dt):
 
 
 def _reference_steps(grid, params, dt):
-    """The (n, 3) RK4 and semi-implicit steps, each returning a new array.
+    """The (n, 3) RK4 and semi-implicit steps in the kernel's order, each returning a new array.
 
+    A stage is `ll_rhs_vector_form`: its time step times the right-hand side.  RK4's stages
+    take the neighbour sum m[i+1] + m[i-1] with dx^2; their outputs a1..a4 are taken at dt/2,
+    dt/2, dt and dt/6, the stage inputs are m + a_i and the update (a1 + 2 a2 + a3)/3 + a4.
     The semi-implicit step is m + P(dt * rhs), P = (I - dt*c*Lap)^{-1}.  At n <= DENSE_MAX_N
     it applies L and P as dense matrices to C-contiguous (3, n) copies, in the stepper's
-    layout; above, P by the real FFT along axis 0.
+    layout; above, it takes the neighbour sum and P by the real FFT along axis 0.
     """
+    n, dx2 = grid.n, grid.dx ** 2
+    denominator = _symbol_denominator(grid, params, dt)
+    if n <= DENSE_MAX_N:
+        j = np.arange(n)
+        lap_t = np.ascontiguousarray(second_derivative(np.eye(n), grid).T)
+        p = np.fft.ifft(1.0 / denominator).real
+        solve_t = p[(j[None, :] - j[:, None]) % n]
+
+    def rhs(m, h):
+        return ll_rhs_vector_form(m, np.roll(m, -1, 0) + np.roll(m, 1, 0), params, h, dx2)
+
+    def rk4(m):
+        a1 = rhs(m, 0.5 * dt)
+        a2 = rhs(m + a1, 0.5 * dt)
+        a3 = rhs(m + a2, dt)
+        a4 = rhs(m + a3, dt / 6.0)
+        return m + ((a1 + 2 * a2 + a3) * (1.0 / 3.0) + a4)
+
+    def semi_implicit(m):
+        if n > DENSE_MAX_N:
+            half = denominator[: n // 2 + 1, None]
+            return m + np.fft.irfft(np.fft.rfft(rhs(m, dt), axis=0) / half, n, axis=0)
+        lap = np.ascontiguousarray(m.T) @ lap_t
+        update = np.ascontiguousarray(ll_rhs_vector_form(m, lap.T, params, dt).T) @ solve_t
+        return m + update.T
+
+    return {"rk4": rk4, "semi-implicit": semi_implicit}
+
+
+def _previous_reference_steps(grid, params, dt):
+    """The (n, 3) steps in their earlier order: the np.cross right-hand side of the full
+    stencil, RK4's m + (dt/6)(k1 + 2 k2 + 2 k3 + k4), and m + P(dt * rhs) with the dense
+    Laplacian and P at n <= DENSE_MAX_N and P by the real FFT above."""
     n = grid.n
     denominator = _symbol_denominator(grid, params, dt)
     if n <= DENSE_MAX_N:
@@ -301,7 +338,7 @@ def _reference_steps(grid, params, dt):
         solve_t = p[(j[None, :] - j[:, None]) % n]
 
     def rhs(m):
-        return _ll_rhs(m, second_derivative(m, grid), params)
+        return previous_ll_rhs(m, second_derivative(m, grid), params)
 
     def rk4(m):
         k1 = rhs(m)
@@ -315,20 +352,21 @@ def _reference_steps(grid, params, dt):
             half = denominator[: n // 2 + 1, None]
             return m + np.fft.irfft(np.fft.rfft(dt * rhs(m), axis=0) / half, n, axis=0)
         lap = np.ascontiguousarray(m.T) @ lap_t
-        update = np.ascontiguousarray((dt * _ll_rhs(m, lap.T, params)).T) @ solve_t
+        update = np.ascontiguousarray((dt * previous_ll_rhs(m, lap.T, params)).T) @ solve_t
         return m + update.T
 
     return {"rk4": rk4, "semi-implicit": semi_implicit}
 
 
 def _previous_semi_implicit(grid, params, dt):
-    """The semi-implicit step in its earlier form, P(m + dt*(rhs - c*Lap m)) by the FFT."""
+    """The semi-implicit step in its earlier form, P(m + dt*(rhs - c*Lap m)) by the FFT, with
+    the earlier right-hand side."""
     denominator = _symbol_denominator(grid, params, dt)[:, None]
     c = params.alpha / (1.0 + params.alpha ** 2)
 
     def step(m):
         lap = second_derivative(m, grid)
-        explicit = _ll_rhs(m, lap, params) - c * lap
+        explicit = previous_ll_rhs(m, lap, params) - c * lap
         rhs_hat = np.fft.fft(m + dt * explicit, axis=0)
         return np.real(np.fft.ifft(rhs_hat / denominator, axis=0))
 
@@ -336,12 +374,13 @@ def _previous_semi_implicit(grid, params, dt):
 
 
 def _complex_fft_semi_implicit(grid, params, dt):
-    """The semi-implicit step m + P(dt*rhs) in its earlier FFT form: P by the complex FFT."""
+    """The semi-implicit step m + P(dt*rhs) in its earlier FFT form: P by the complex FFT, with
+    the earlier right-hand side."""
     denominator = _symbol_denominator(grid, params, dt)[:, None]
 
     def step(m):
-        update = np.fft.ifft(np.fft.fft(dt * _ll_rhs(m, second_derivative(m, grid), params),
-                                        axis=0) / denominator, axis=0)
+        rhs = previous_ll_rhs(m, second_derivative(m, grid), params)
+        update = np.fft.ifft(np.fft.fft(dt * rhs, axis=0) / denominator, axis=0)
         return m + np.real(update)
 
     return step
@@ -453,6 +492,33 @@ def test_steppers_equal_n3_reference_bytewise_at_shortest_views(rng, integrator,
                 state[...] = m.T
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "semi-implicit"])
+@pytest.mark.parametrize("n", [16, 96, 200, 1024])
+def test_simulate_equals_previous_order_to_stated_tolerance(rng, integrator, n):
+    # the kernel takes the neighbour sum (the diagonal goes into its operator) and folds each
+    # stage's scale into g, and RK4 sums the scaled stage outputs; against the earlier np.cross
+    # order of the full stencil, measured worst over 10 seeds of these runs: the field (final
+    # and snapshots) 4.3e-15, phi0 5.2e-15, the energy 6.5e-14 of the run's largest |E|, the
+    # norm drift 2.2e-16
+    grid = Grid1D(2 * np.pi, n)
+    for params in (PARAMS, ModelParams(1.0)):
+        initial = random_smooth_field(rng, grid)
+        dt = 0.5 * cfl_limit(grid, params)
+        config = SimConfig(dt=dt, t_final=200 * dt, integrator=integrator,
+                           diag_every=7, store_every=30)
+        result = simulate(initial, params, config)
+        previous = _previous_reference_steps(grid, params, dt)[integrator]
+        times, drifts, energies, phi0, snap_t, snaps, final = _reference_simulate(
+            initial, params, config, previous)
+        diag = result.diagnostics
+        assert np.array_equal(diag.times, times) and np.array_equal(result.trajectory.times, snap_t)
+        assert np.abs(result.trajectory.values - snaps).max() <= 1e-14
+        assert np.abs(result.final.values - final).max() <= 1e-14
+        assert np.abs(diag.phi0 - phi0).max() <= 2e-14
+        assert np.abs(diag.energy - energies).max() <= 2e-13 * np.abs(energies).max()
+        assert np.abs(diag.norm_drift - drifts).max() <= 1e-15
+
+
 def _peak_bytes(fn, repeats=20):
     """The most memory traced at once over repeats calls of fn, above what was traced before."""
     fn()
@@ -522,9 +588,9 @@ def test_dense_operators_equal_fft_and_stencil_to_stated_ulp(rng, n):
 
 def test_semi_implicit_equals_previous_form_to_stated_tolerance(rng):
     # the step form moved from P(m + dt*(rhs - c*Lap m)) by the FFT to m + P(dt*rhs) with
-    # dense operators; measured: the field (final and snapshots) by at most 6.8e-15 on the
-    # hopf problem and 2.0e-15 at n = 96, phi0 by 2.7e-14, the energy by 3.6e-15 of the
-    # run's largest |E|
+    # dense operators, and the right-hand side to the kernel's order; measured: the field
+    # (final and snapshots) by at most 8.8e-15 on the hopf problem and 1.2e-15 at n = 96,
+    # phi0 by 2.1e-14, the energy by 2.7e-15 of the run's largest |E|
     params = ModelParams(1.0, 0.5, 1.0, 1.0)
     grid = Grid1D(2 * np.pi, 64)
     e3 = MagnetizationField(grid, np.tile([0.0, 0.0, 1.0], (grid.n, 1)))
@@ -548,10 +614,11 @@ def test_semi_implicit_equals_previous_form_to_stated_tolerance(rng):
 
 @pytest.mark.parametrize("n", [193, 200, 1024, 2048])
 def test_semi_implicit_equals_complex_fft_form_to_stated_tolerance(n):
-    # above DENSE_MAX_N, P moved from a complex FFT pair to a real one; measured over noise
-    # seeds 0-9 on the hopf problem, 400 steps: the field (final and snapshots) by at most
-    # 6.4e-16, phi0 by 2.7e-12 (the state is near e3, where the azimuth is ill-conditioned),
-    # the energy by 5.7e-16 of the run's largest |E| and the norm drift by 1.1e-16
+    # above DENSE_MAX_N, P moved from a complex FFT pair to a real one, and the right-hand
+    # side to the kernel's order; measured over noise seeds 0-9 on the hopf problem, 400
+    # steps: the field (final and snapshots) by at most 6.5e-16, phi0 by 2.0e-12 (the state
+    # is near e3, where the azimuth is ill-conditioned), the energy by 5.7e-16 of the run's
+    # largest |E| and the norm drift by 1.1e-16
     assert n > DENSE_MAX_N
     params = ModelParams(1.0, 0.5, 1.0, 1.0)
     grid = Grid1D(2 * np.pi, n)
@@ -634,6 +701,24 @@ def test_sideband_pair_lies_below_nyquist():
         build_wavetrain_initial(SIDEBAND_WT, grid, PerturbationSpec("sideband", 0.2, 1e-4))
     with pytest.raises(CommensurabilityError, match="alias"):
         mode_amplitudes(traj, 0.2, 0.6)
+
+
+@pytest.mark.parametrize("ell", [0.0, -0.0, 1e-12])
+def test_sideband_at_grid_mode_zero_is_commensurability_error(ell):
+    # ell = 0 is the carrier's own mode: the builder returned the wavetrain tilted uniformly,
+    # and mode_amplitudes sqrt(2) times the carrier's amplitude, which the growth fit took
+    # for a sideband's
+    spec = PerturbationSpec("sideband", ell, 1e-3)
+    with pytest.raises(CommensurabilityError, match="mode 0"):
+        build_wavetrain_initial(SIDEBAND_WT, SIDEBAND_GRID, spec)
+    fld = wavetrain_field(SIDEBAND_WT, SIDEBAND_GRID)
+    with pytest.raises(CommensurabilityError, match="mode 0"):
+        _perturb(fld, spec, SIDEBAND_WT)
+    traj = Trajectory(SIDEBAND_GRID, np.linspace(0.0, 1.0, 8), np.repeat(fld.values[None], 8, 0))
+    with pytest.raises(CommensurabilityError, match="mode 0"):
+        mode_amplitudes(traj, ell, 0.6)
+    with pytest.raises(CommensurabilityError, match="mode 0"):
+        measure_growth_rate(traj, ell, 0.6)
 
 
 @pytest.mark.parametrize("counts", [{"diag_every": math.nan}, {"diag_every": 2.5},

@@ -80,6 +80,8 @@ RUNS = [(name, argv, ext) for name, argv, ext in SWEEP] + [
     ("commensurability-sideband", ["simulate", *WAVETRAIN, "--k", "0", "--perturbation",
                                    "sideband", "--ell", "0.3", "--amplitude", "0.01",
                                    "--t-final", "0.1"], None),
+    # ell = 0 is the carrier's own mode, not a sideband
+    ("sideband-ell-zero", ["simulate", "--preset", "sideband", "--ell", "0"], None),
     # pi/dx = 8 on n = 16, so mode 10 would alias to mode -6
     ("above-nyquist", ["simulate", *WAVETRAIN, "--k", "10", "--n", "16", "--t-final", "0.05",
                        "--dt", "0.001"], None),
