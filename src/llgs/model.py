@@ -393,22 +393,13 @@ class _LLKernel:
         return out
 
 
-def _ll_rhs(m: np.ndarray, lap: np.ndarray | None, params: ModelParams,
-            grid: Grid1D | None = None) -> np.ndarray:
-    """dm/dt of a (n, 3) array m with Laplacian lap: the kernel at dt = 1 on transposed views.
-
-    With lap None the kernel takes the neighbour sum on `grid`, as the steppers do.
-    """
+def _ll_rhs(m: np.ndarray, lap: np.ndarray, params: ModelParams) -> np.ndarray:
+    """dm/dt of a (n, 3) array m with Laplacian lap: the kernel at dt = 1 on transposed views."""
     kernel = _LLKernel(len(m), params)
     kernel.m.rows[...] = m.T
-    if lap is None:
-        kernel.neighbour_sum()
-        op = kernel.operator(1.0, grid.dx ** 2)
-    else:
-        kernel.lap[...] = lap.T
-        op = kernel.operator(1.0)
+    kernel.lap[...] = lap.T
     out = np.empty_like(m)
-    kernel.rhs(op, out.T)
+    kernel.rhs(kernel.operator(1.0), out.T)
     return out
 
 
@@ -417,8 +408,7 @@ def rhs_landau_lifshitz(
 ) -> np.ndarray:
     """dm/dt in Landau-Lifshitz form; tangent to the sphere pointwise."""
     fld.check_unit_norm(1e-9)
-    lap = second_derivative(fld.values, fld.grid, method) if _spectral(method) else None
-    return _ll_rhs(fld.values, lap, params, fld.grid)
+    return _ll_rhs(fld.values, second_derivative(fld.values, fld.grid, method), params)
 
 
 def gilbert_residual(

@@ -20,6 +20,7 @@ from llgs import (
 )
 from llgs.errors import ConfigError, SouthPoleError
 from llgs.model import (
+    _LLKernel,
     _integrate,
     _laplacian_symbol,
     _ll_rhs,
@@ -277,7 +278,7 @@ def test_kernel_fed_neighbour_sum_equals_it_fed_the_stencil(rng, n):
     # m x Lap m = m x (m[i+1] + m[i-1])/dx^2 - m x (2 m)/dx^2, and the last term is 0 byte
     # for byte (2 m is exact, so each row of the cross product is x - x): the diagonal
     # changes only rounding.  The kernel fed the neighbour sum, with the diagonal in its
-    # operator (as the steppers and rhs_landau_lifshitz feed it), matches it fed the full
+    # operator (as the steppers feed it), matches it fed the full
     # stencil, in ulp of (4/dx^2 + max |f|) (1 + alpha)/(1 + alpha^2): measured worst 3 ulp
     # over 2 x 3200 random and uniform fields at these n
     for _ in range(20):
@@ -285,10 +286,12 @@ def test_kernel_fed_neighbour_sum_equals_it_fed_the_stencil(rng, n):
         uniform = np.tile(_unit_vectors(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)), (n, 1))
         for m in (random_smooth_field(rng, grid).values, uniform):
             assert (np.cross(m, 2 * m) / grid.dx ** 2).tobytes() == np.zeros((n, 3)).tobytes()
-            got = _ll_rhs(m, None, params, grid)
+            kernel, got = _LLKernel(n, params), np.empty((n, 3))
+            kernel.m.rows[...] = m.T
+            kernel.neighbour_sum()
+            kernel.rhs(kernel.operator(1.0, grid.dx ** 2), got.T)
             assert np.array_equal(got, ll_rhs_vector_form(m, np.roll(m, -1, 0) + np.roll(m, 1, 0),
                                                           params, 1.0, grid.dx ** 2))
-            assert np.array_equal(rhs_landau_lifshitz(MagnetizationField(grid, m), params), got)
             f_max = max(abs(params.beta), abs(params.mu) + abs(params.h))
             scale = (4 / grid.dx ** 2 + f_max) * (1 + params.alpha) / (1 + params.alpha ** 2)
             want = _ll_rhs(m, second_derivative(m, grid), params)

@@ -1,7 +1,7 @@
 """Time one PDE layer of two llgs source trees against each other in one interpreter.
 
     python3 tools/ab.py A_SRC B_SRC --layer {rhs,rk4-step,semi-step} --n N
-                        [--pairs 40] [--batch-s 0.05] [--out FILE]
+                        [--out FILE]
 
 Each tree's `llgs` is imported under its own name (`llgs_a`, `llgs_b`) through
 `sys.modules`, so both sit in one process and share its numpy, BLAS and cache
@@ -13,10 +13,11 @@ state.  The layers:
   plus the projection to the sphere that `simulate` applies after it, at
   dt = cfl_limit/2 (RK4) or 0.005 (semi-implicit).
 
-The timed batches alternate: pair i runs A then B when i is even, B then A when
-it is odd, and each batch builds a fresh stepper instance and restarts from the
-same initial field.  A batch's time is the fastest of five rounds of calls, as
-the host's load comes in bursts.  The report gives each tree's median time per call in
+PAIRS pairs of timed batches, each about BATCH_S seconds of calls, alternate:
+pair i runs A then B when i is even, B then A when it is odd, and each batch
+builds a fresh stepper instance and restarts from the same initial field.  A
+batch's time is the fastest of five rounds of calls, as the host's load comes
+in bursts.  The report gives each tree's median time per call in
 microseconds, the per-pair ratios B/A with their median and a 95% bootstrap
 interval of that median, and whether the two trees' outputs are byte-equal
 (one call of the layer, or 200 steps, from the same field).  An A/A run (one
@@ -39,6 +40,8 @@ import numpy as np
 PARAMS = (1.0, 0.5, 1.0, 1.0)  # alpha, beta, mu, h: the sideband and hopf presets
 LENGTH = 20 * math.pi
 EQUAL_STEPS = 200
+PAIRS = 40
+BATCH_S = 0.05  # seconds of calls in one timed batch
 
 
 def load(src: str, name: str):
@@ -127,8 +130,6 @@ def main(argv=None) -> int:
     ap.add_argument("b_src")
     ap.add_argument("--layer", choices=("rhs", "rk4-step", "semi-step"), required=True)
     ap.add_argument("--n", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=40)
-    ap.add_argument("--batch-s", type=float, default=0.05)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
 
@@ -136,16 +137,16 @@ def main(argv=None) -> int:
              for src, name in ((args.a_src, "llgs_a"), (args.b_src, "llgs_b"))]
     equal = sides[0][1]() == sides[1][1]()
     per_call = batch(sides[0][0], 20, 1)
-    reps = max(1, int(args.batch_s / per_call))
+    reps = max(1, int(BATCH_S / per_call))
     times = ([], [])
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             times[side].append(batch(sides[side][0], reps))
     ratios = [b / a for a, b in zip(*times)]
     lo, hi = bootstrap_median(ratios)
     report = {
         "layer": args.layer, "n": args.n, "a_src": args.a_src, "b_src": args.b_src,
-        "pairs": args.pairs, "calls_per_batch": reps,
+        "pairs": PAIRS, "calls_per_batch": reps,
         "a_median_us": 1e6 * statistics.median(times[0]),
         "b_median_us": 1e6 * statistics.median(times[1]),
         "ratio_b_over_a_median": statistics.median(ratios),
