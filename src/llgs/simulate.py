@@ -5,17 +5,17 @@ step.  Two time steppers: classical RK4 (convergence studies), and a linearly
 implicit scheme, m <- m + P(dt*rhs(m)) with P = (I - dt*c*Lap)^{-1}, treating
 the stiff diffusion c d_xx, c = alpha/(1+alpha^2), implicitly (production
 runs, no dx^2 step barrier).  Both call `model._LLKernel`, which returns dt
-times the right-hand side.  RK4 feeds it the neighbour sum m[i+1] + m[i-1]
-at every n; the semi-implicit step does so above DENSE_MAX_N points, with
-one real FFT pair for P, and up to it applies the Laplacian and P as dense
-matrices.  Used to cross-validate wavetrain frequency, sideband growth rates
-and coherent profiles against the analytical modules.
+times the right-hand side, and both feed it the neighbour sum m[i+1] + m[i-1]
+at every n.  The semi-implicit step applies P as a dense matrix up to
+DENSE_MAX_N points and by one real FFT pair above.  Used to cross-validate
+wavetrain frequency, sideband growth rates and coherent profiles against the
+analytical modules.
 
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
 row per component.  The RK4 factory rejects a dt above `cfl_limit` before
 any buffer is built; each factory builds its buffers, the kernel, its
-(3, 7) operators and the linear operators once; a step advances the state
-in place with ufuncs and matrix products that write to those buffers (their
+(3, 7) operators and P once; a step advances the state in place with
+ufuncs and matrix products that write to those buffers (their
 output passed positionally, as in `model`), allocates no array, and is
 bit-equal to the (n, 3) formulas written in the kernel's operation order.
 `simulate` transposes only at entry, when it records diagnostics
@@ -47,7 +47,6 @@ from .model import (
     _project,
     _unit_vectors,
     energy,
-    second_derivative,
 )
 from .wavetrains import Wavetrain, wavetrain_field
 
@@ -57,9 +56,9 @@ CFL_SAFETY = 0.25
 # domain, since periodic wrap-around pollutes the edges.
 DEFECT_THRESHOLD = 1e-2
 DEFECT_INTERIOR = 0.6
-# the largest n at which the semi-implicit step applies its Laplacian and P as dense
-# (n, n) matmuls, not the stencil and the real FFT pair: the dense step was the faster
-# at 160, the slower at 256 and at 192 in 7 of 10 batch pairs (BENCH_pde_rfft.json)
+# the largest n at which the semi-implicit step applies P as one dense (n, n) product,
+# not the real FFT pair: the dense step was the faster at 160, 192 and 224 and the slower
+# at 256, 320 and 384, in 40 of 40 or at least 37 of 40 batch pairs (BENCH_pde_feed.json)
 DENSE_MAX_N = 192
 
 
@@ -129,19 +128,17 @@ class Trajectory:
     values: np.ndarray
 
 
-def _dense_operators(grid: Grid1D, denominator: np.ndarray):
-    """The 3-point Laplacian L and P = F^-1 diag(1/denominator) F as dense (n, n) matrices.
+def _dense_operators(grid: Grid1D, denominator: np.ndarray) -> np.ndarray:
+    """P = F^-1 diag(1/denominator) F as a dense (n, n) matrix, transposed.
 
-    L is the stencil applied to the identity, so its entries are exactly
-    1/dx^2, -2/dx^2 and 0.  P is circulant, P[i, j] = p[(i - j) mod n], with p
-    the inverse FFT of 1/denominator, so it is the operator the FFT path
-    applies.  Both are returned transposed and C-contiguous: a (3, n) state x
-    maps to x @ L.T and x @ P.T, one matrix product each.
+    P is circulant, P[i, j] = p[(i - j) mod n], with p the inverse FFT of
+    1/denominator, so it is the operator the FFT path applies.  It is
+    returned transposed and C-contiguous: a (3, n) state x maps to x @ P.T,
+    one matrix product.
     """
     j = np.arange(grid.n)
     p = np.fft.ifft(1.0 / denominator).real
-    return (np.ascontiguousarray(second_derivative(np.eye(grid.n), grid).T),
-            p[(j[None, :] - j[:, None]) % grid.n])
+    return p[(j[None, :] - j[:, None]) % grid.n]
 
 
 def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
@@ -151,25 +148,23 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
     this is P (m_n + dt*(rhs - c*Lap m_n)), as P (I - dt*c*Lap) m_n = m_n.  P
     uses the exact Fourier symbol of the 3-point Laplacian,
     `_laplacian_symbol`, so the split is consistent with the stencil.  The
-    kernel returns dt * rhs.  One step body serves every n; only the
-    Laplacian term and P depend on it: at n <= DENSE_MAX_N dense matrices
-    (`_dense_operators`), one matrix product each on the (3, n) state; above
-    it, the kernel's neighbour sum, and a real FFT along the rows, a divide
-    by the symbol's first n//2 + 1 values and the inverse.  The kernel, the
-    operators and the buffers are built here, once.
+    kernel, fed the neighbour sum as RK4 feeds it, returns dt * rhs.  One
+    step body serves every n; only P's application depends on it: at
+    n <= DENSE_MAX_N one product with the dense circulant matrix
+    (`_dense_operators`) on the (3, n) state; above it, a real FFT along the
+    rows, a divide by the symbol's first n//2 + 1 values and the inverse.
+    The kernel, its operator, P and the buffers are built here, once.
     """
     n = grid.n
     c = params.alpha / (1.0 + params.alpha ** 2)
     denominator = 1.0 - dt * c * _laplacian_symbol(grid)
     kernel = _LLKernel(n, params)
     x, lap, k = kernel.m.rows, kernel.lap, np.empty((3, n))
+    neighbour_sum, op = kernel.neighbour_sum, kernel.operator(dt, grid.dx ** 2)
 
     if n <= DENSE_MAX_N:
-        lap_t, solve_t = _dense_operators(grid, denominator)
-        laplacian, op = partial(np.dot, x, lap_t, lap), kernel.operator(dt)
-        solve = partial(np.dot, k, solve_t, lap)  # the Laplacian is spent
+        solve = partial(np.dot, k, _dense_operators(grid, denominator), lap)  # lap is spent
     else:
-        laplacian, op = kernel.neighbour_sum, kernel.operator(dt, grid.dx ** 2)
         # complex and (3, n//2 + 1), so dividing by it neither casts nor buffers
         half = np.tile(denominator[: n // 2 + 1], (3, 1)).astype(complex)
         spectrum = np.empty_like(half)
@@ -177,11 +172,11 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
         def solve():
             np.fft.rfft(k, axis=1, out=spectrum)
             np.divide(spectrum, half, spectrum)
-            return np.fft.irfft(spectrum, n, axis=1, out=lap)  # the Laplacian is spent
+            return np.fft.irfft(spectrum, n, axis=1, out=lap)  # lap is spent
 
     def step(m: np.ndarray):
         x[...] = m
-        laplacian()
+        neighbour_sum()
         kernel.rhs(op, k)
         m += solve()
 
@@ -242,8 +237,10 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
 
     Diagnostics (snapshots) are taken at the start, every diag_every
     (store_every) steps and at the end, so store_every = sys.maxsize keeps
-    only the first and last states.
+    only the first and last states.  An initial field off the unit sphere is
+    a ConfigError; a non-finite one reaches the first record's BlowupError.
     """
+    initial.check_unit_norm()
     grid = initial.grid
     step_fn = config.validate(grid, params)
     m = initial.values.T.copy()  # the (3, n) state, stepped in place

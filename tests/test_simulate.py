@@ -143,6 +143,23 @@ def test_blowup_reported_as_error():
         simulate(MagnetizationField(grid, values), PARAMS, SimConfig(dt=0.01, t_final=0.1))
 
 
+def test_initial_field_of_norm_three_is_config_error(rng):
+    # it used to run, its first record holding the energy of the non-unit field (3.04, then
+    # -3.01 one record later)
+    grid = Grid1D(2 * np.pi, 64)
+    values = 3.0 * np.array([0.6, 0.0, 0.8]) + 0.01 * rng.normal(size=(grid.n, 3))
+    with pytest.raises(ConfigError, match="not unit-norm"):
+        simulate(MagnetizationField(grid, values), PARAMS, SimConfig(dt=0.005, t_final=1.0))
+
+
+def test_initial_zero_field_is_config_error():
+    # it used to end in a BlowupError, as if the run had diverged
+    grid = Grid1D(2 * np.pi, 64)
+    with pytest.raises(ConfigError, match="not unit-norm"):
+        simulate(MagnetizationField(grid, np.zeros((grid.n, 3))), PARAMS,
+                 SimConfig(dt=0.005, t_final=1.0))
+
+
 def test_project_equals_linalg_norm_bitwise(rng):
     grid = Grid1D(2 * np.pi, 128)
     for _ in range(5):
@@ -292,15 +309,14 @@ def _reference_steps(grid, params, dt):
     A stage is `ll_rhs_vector_form`: its time step times the right-hand side.  RK4's stages
     take the neighbour sum m[i+1] + m[i-1] with dx^2; their outputs a1..a4 are taken at dt/2,
     dt/2, dt and dt/6, the stage inputs are m + a_i and the update (a1 + 2 a2 + a3)/3 + a4.
-    The semi-implicit step is m + P(dt * rhs), P = (I - dt*c*Lap)^{-1}.  At n <= DENSE_MAX_N
-    it applies L and P as dense matrices to C-contiguous (3, n) copies, in the stepper's
-    layout; above, it takes the neighbour sum and P by the real FFT along axis 0.
+    The semi-implicit step is m + P(dt * rhs), P = (I - dt*c*Lap)^{-1}, with the same stage
+    at dt.  At n <= DENSE_MAX_N it applies P as a dense matrix to a C-contiguous (3, n) copy,
+    in the stepper's layout; above, by the real FFT along axis 0.
     """
     n, dx2 = grid.n, grid.dx ** 2
     denominator = _symbol_denominator(grid, params, dt)
     if n <= DENSE_MAX_N:
         j = np.arange(n)
-        lap_t = np.ascontiguousarray(second_derivative(np.eye(n), grid).T)
         p = np.fft.ifft(1.0 / denominator).real
         solve_t = p[(j[None, :] - j[:, None]) % n]
 
@@ -318,9 +334,7 @@ def _reference_steps(grid, params, dt):
         if n > DENSE_MAX_N:
             half = denominator[: n // 2 + 1, None]
             return m + np.fft.irfft(np.fft.rfft(rhs(m, dt), axis=0) / half, n, axis=0)
-        lap = np.ascontiguousarray(m.T) @ lap_t
-        update = np.ascontiguousarray(ll_rhs_vector_form(m, lap.T, params, dt).T) @ solve_t
-        return m + update.T
+        return m + (np.ascontiguousarray(rhs(m, dt).T) @ solve_t).T
 
     return {"rk4": rk4, "semi-implicit": semi_implicit}
 
@@ -563,34 +577,29 @@ def test_dense_step_allocates_no_array(rng):
 
 @pytest.mark.parametrize("n", [3, 4, 16, 64, 96, DENSE_MAX_N])
 def test_dense_operators_equal_fft_and_stencil_to_stated_ulp(rng, n):
-    # measured worst over 1800 random cases at n <= 192: 7 ulp for P, 8 for L
+    # measured worst over 1800 random cases at n <= 192: 7 ulp
     grid = Grid1D(rng.uniform(0.5, 50.0), n)
     for _ in range(20):
         params = ModelParams(rng.uniform(0.1, 3.0))
         denominator = _symbol_denominator(grid, params, 10 ** rng.uniform(-4, 0))
-        lap_t, solve_t = _dense_operators(grid, denominator)
+        solve_t = _dense_operators(grid, denominator)
         y = rng.normal(size=(3, n)) * 10 ** rng.uniform(-6, 2)
-        # P: in ulp of max |y|, as P has nonnegative entries and unit row sums
+        # in ulp of max |y|, as P has nonnegative entries and unit row sums
         fft = np.fft.ifft(np.fft.fft(y, axis=1) / denominator, axis=1).real
         assert np.abs(y @ solve_t - fft).max() <= 16 * np.spacing(np.abs(y).max())
-        # L: in ulp of max |y| / dx^2, the scale of the stencil's terms
-        stencil = second_derivative(y.T, grid).T
-        ulp = np.spacing(np.abs(y).max() / grid.dx ** 2)
-        assert np.abs(y @ lap_t - stencil).max() <= 16 * ulp
-    # the entries are exact, and a constant whose products with them are exact (the
-    # +e3 or -e3 state, or a power of two) gives 0 exactly, as the stencil does
-    assert set(np.unique(lap_t * grid.dx ** 2)) <= {-2.0, 0.0, 1.0}
+    # the stencil gives 0 exactly on a constant
     for value in (0.0, 1.0, -1.0, 2.0 ** -20, -(2.0 ** 30)):
-        constant = np.full((3, n), value)
-        assert np.all(constant @ lap_t == 0.0)
-        assert np.all(second_derivative(constant.T, grid) == 0.0)
+        assert np.all(second_derivative(np.full((n, 3), value), grid) == 0.0)
 
 
 def test_semi_implicit_equals_previous_form_to_stated_tolerance(rng):
-    # the step form moved from P(m + dt*(rhs - c*Lap m)) by the FFT to m + P(dt*rhs) with
-    # dense operators, and the right-hand side to the kernel's order; measured: the field
-    # (final and snapshots) by at most 8.8e-15 on the hopf problem and 1.2e-15 at n = 96,
-    # phi0 by 2.1e-14, the energy by 2.7e-15 of the run's largest |E|
+    # the step form moved from P(m + dt*(rhs - c*Lap m)) by the FFT to m + P(dt*rhs) with a
+    # dense P, and the right-hand side to the kernel's order, fed the neighbour sum; measured
+    # worst over noise seeds 0-9 of the hopf run and 11 random fields at n = 96: the field
+    # (snapshots) by 4.0e-14, the final field by 2.9e-14, the energy by 1.9e-14 of the run's
+    # largest |E|, phi0 by 5.0e-14 on these runs (3.2e-13 over the seeds, as with the dense
+    # Laplacian: near e3 the azimuth is ill-conditioned).  Rounding: the hopf run lies within
+    # 3.2e-14 of the same scheme run in 80-bit long double (7.2e-15 with the dense Laplacian)
     params = ModelParams(1.0, 0.5, 1.0, 1.0)
     grid = Grid1D(2 * np.pi, 64)
     e3 = MagnetizationField(grid, np.tile([0.0, 0.0, 1.0], (grid.n, 1)))
@@ -605,10 +614,10 @@ def test_semi_implicit_equals_previous_form_to_stated_tolerance(rng):
             initial, params, config, previous)
         diag = result.diagnostics
         assert np.array_equal(diag.times, times) and np.array_equal(result.trajectory.times, snap_t)
-        assert np.abs(result.trajectory.values - snaps).max() <= 1e-14
-        assert np.abs(result.final.values - final).max() <= 1e-14
+        assert np.abs(result.trajectory.values - snaps).max() <= 1e-13
+        assert np.abs(result.final.values - final).max() <= 1e-13
         assert np.abs(diag.phi0 - phi0).max() <= 1e-13
-        assert np.abs(diag.energy - energies).max() <= 1e-14 * np.abs(energies).max()
+        assert np.abs(diag.energy - energies).max() <= 5e-14 * np.abs(energies).max()
         assert np.abs(diag.norm_drift - drifts).max() <= 1e-15
 
 

@@ -1,6 +1,6 @@
 """Time one PDE layer of two llgs source trees against each other in one interpreter.
 
-    python3 tools/ab.py A_SRC B_SRC --layer {rhs,rk4-step,semi-step} --n N
+    python3 tools/ab.py A_SRC B_SRC --layer {rhs,rk4-step,semi-step,simulate} --n N
                         [--out FILE]
 
 Each tree's `llgs` is imported under its own name (`llgs_a`, `llgs_b`) through
@@ -11,7 +11,11 @@ state.  The layers:
   perfbench's `model.rhs_us` times;
 - rk4-step, semi-step: one step of `simulate`'s RK4 or semi-implicit stepper
   plus the projection to the sphere that `simulate` applies after it, at
-  dt = cfl_limit/2 (RK4) or 0.005 (semi-implicit).
+  dt = cfl_limit/2 (RK4) or 0.005 (semi-implicit);
+- simulate: the `simulate` loop with its records on the hopf preset's
+  problem at n points (+e3 with noise of amplitude 1e-3 and seed 7 on
+  L = 2 pi), semi-implicit at dt = 0.005 for SIMULATE_STEPS steps,
+  `diag_every` 10.
 
 PAIRS pairs of timed batches, each about BATCH_S seconds of calls, alternate:
 pair i runs A then B when i is even, B then A when it is odd, and each batch
@@ -20,7 +24,8 @@ batch's time is the fastest of five rounds of calls, as the host's load comes
 in bursts.  The report gives each tree's median time per call in
 microseconds, the per-pair ratios B/A with their median and a 95% bootstrap
 interval of that median, and whether the two trees' outputs are byte-equal
-(one call of the layer, or 200 steps, from the same field).  An A/A run (one
+(one call of the layer, 200 steps, or one simulate run's diagnostics and
+final field, from the same field).  An A/A run (one
 tree passed twice) should give an interval that contains 1.
 """
 
@@ -40,6 +45,7 @@ import numpy as np
 PARAMS = (1.0, 0.5, 1.0, 1.0)  # alpha, beta, mu, h: the sideband and hopf presets
 LENGTH = 20 * math.pi
 EQUAL_STEPS = 200
+SIMULATE_STEPS = 1000
 PAIRS = 40
 BATCH_S = 0.05  # seconds of calls in one timed batch
 
@@ -79,6 +85,22 @@ def layer_call(modules, layer: str, n: int):
             return model.rhs_landau_lifshitz(fld, params)
 
         return lambda: rhs, lambda: rhs().tobytes()
+    if layer == "simulate":
+        grid = model.Grid1D(2 * math.pi, n)
+        e3 = model.MagnetizationField(grid, np.tile([0.0, 0.0, 1.0], (n, 1)))
+        initial = sim._perturb(e3, sim.PerturbationSpec("noise", amplitude=1e-3, seed=7))
+        config = sim.SimConfig(dt=0.005, t_final=SIMULATE_STEPS * 0.005, diag_every=10)
+
+        def run():
+            return sim.simulate(initial, params, config)
+
+        def output():
+            result = run()
+            diag = result.diagnostics
+            return b"".join(a.tobytes() for a in (diag.times, diag.norm_drift, diag.energy,
+                                                  diag.phi0, result.final.values))
+
+        return lambda: run, output
     integrator = "rk4" if layer == "rk4-step" else "semi-implicit"
     dt = 0.5 * sim.cfl_limit(grid, params) if integrator == "rk4" else 0.005
     m = np.empty((3, n))
@@ -128,7 +150,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_src")
     ap.add_argument("b_src")
-    ap.add_argument("--layer", choices=("rhs", "rk4-step", "semi-step"), required=True)
+    ap.add_argument("--layer", choices=("rhs", "rk4-step", "semi-step", "simulate"),
+                    required=True)
     ap.add_argument("--n", type=int, required=True)
     ap.add_argument("--out")
     args = ap.parse_args(argv)

@@ -6,8 +6,8 @@
 The first form imports llgs from the source tree SRC and saves the results of
 `simulate` (diagnostics, snapshots, final field) on the hopf and sideband
 problems and off their grid sizes (semi-implicit at n = 96, which is not a
-power of two, and at n = 192 and 193, the last size the step applies its
-operators as dense matrices and the first it takes the FFT; the sideband
+power of two, and at n = 192 and 193, the last size the step applies P as
+a dense matrix and the first it takes the FFT; the sideband
 problem semi-implicit at n = 1024; and 300 RK4 steps at n = 4096), the
 initial fields that `build_wavetrain_initial` and `_perturb` build from the
 sideband problem's wavetrain on both branches (unperturbed, sideband, noise)
