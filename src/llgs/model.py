@@ -14,13 +14,12 @@ stepping is
     f(m) = (mu*m3 - h) e3 + beta m x e3.
 
 Its one kernel, `_LLKernel`, evaluates dt times this on component-first
-(3, n) arrays, each row one component, contiguous along the grid: a stepper
-keeps its state in that layout, builds the kernel once and feeds it the
-neighbour sum m[i+1] + m[i-1]; `_ll_rhs` alone feeds it a Laplacian.  It
-folds -dt/(1 + alpha^2), f and the stencil's weights into one (3, 7) matrix
-(see its docstring).  Both cross products are taken on cyclically extended
-(5, n) buffers with rows m1 m2 m3 m1 m2, so each is two products and one
-difference over (3, n).  The grid is periodic; `second_derivative` is the
+(3, n) arrays, one row per component: a stepper keeps its state in that
+layout, builds the kernel once and feeds it the neighbours' sum m[i+1] +
+m[i-1]; only `_ll_rhs` feeds it Lap m.  It folds -dt/(1 + alpha^2), f
+and the stencil's weights into one (3, 7) matrix.  Both cross products
+use (5, n) buffers with rows m1 m2 m3 m1 m2, so each is two
+products and one difference over (3, n).  The grid is periodic; `second_derivative` is the
 3-point stencil along axis 0, and `_laplacian_symbol` gives its
 eigenvalues.  The norms behind the projection and the norm drift, `_norms`,
 square the (3, n) field in one call and add its rows in np.linalg.norm's
@@ -357,10 +356,9 @@ class _LLKernel:
     def operator(self, dt: float, dx2: float | None = None) -> np.ndarray:
         """The (3, 7) matrix from the rows lap, 1, m to g' = s (Lap m - f(m)), s = -dt/(1+alpha^2).
 
-        With dx2, the form every stepper takes, the lap rows hold the neighbour sum
-        m[i+1] + m[i-1], and the matrix applies the stencil's diagonal -2 m/dx^2 with
-        f's own multiples of m, at no extra pass.  Without it they hold Lap m, as
-        `_ll_rhs` writes them.
+        With dx2, as each stepper takes it, lap holds m[i+1] + m[i-1] and the
+        matrix applies the stencil's diagonal -2 m/dx^2 at no extra pass.
+        Without it lap holds Lap m, as `_ll_rhs` alone writes it.
         """
         p = self._params
         s = -dt / (1.0 + p.alpha ** 2)

@@ -143,21 +143,14 @@ def test_blowup_reported_as_error():
         simulate(MagnetizationField(grid, values), PARAMS, SimConfig(dt=0.01, t_final=0.1))
 
 
-def test_initial_field_of_norm_three_is_config_error(rng):
-    # it used to run, its first record holding the energy of the non-unit field (3.04, then
-    # -3.01 one record later)
+@pytest.mark.parametrize("scale, noise", [(3.0, 0.01), (0.0, 0.0)])
+def test_initial_field_off_the_sphere_is_config_error(rng, scale, noise):
+    # a field of norm about 3 used to run, its first record holding the energy of the non-unit
+    # field (3.08, then -3.01 one record later); the zero field ended in a BlowupError
     grid = Grid1D(2 * np.pi, 64)
-    values = 3.0 * np.array([0.6, 0.0, 0.8]) + 0.01 * rng.normal(size=(grid.n, 3))
+    values = scale * np.array([0.6, 0.0, 0.8]) + noise * rng.normal(size=(grid.n, 3))
     with pytest.raises(ConfigError, match="not unit-norm"):
         simulate(MagnetizationField(grid, values), PARAMS, SimConfig(dt=0.005, t_final=1.0))
-
-
-def test_initial_zero_field_is_config_error():
-    # it used to end in a BlowupError, as if the run had diverged
-    grid = Grid1D(2 * np.pi, 64)
-    with pytest.raises(ConfigError, match="not unit-norm"):
-        simulate(MagnetizationField(grid, np.zeros((grid.n, 3))), PARAMS,
-                 SimConfig(dt=0.005, t_final=1.0))
 
 
 def test_project_equals_linalg_norm_bitwise(rng):
