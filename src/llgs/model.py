@@ -15,18 +15,18 @@ stepping is
 
 Its one kernel, `_LLKernel`, evaluates dt times this on component-first
 (3, n) arrays, one row per component: a stepper keeps its state in that
-layout, builds the kernel once and feeds it the neighbours' sum m[i+1] +
-m[i-1]; only `_ll_rhs` feeds it Lap m.  It folds -dt/(1 + alpha^2), f
-and the stencil's weights into one (3, 7) matrix.  Both cross products
-use (5, n) buffers with rows m1 m2 m3 m1 m2, so each is two
-products and one difference over (3, n).  The grid is periodic; `second_derivative` is the
+layout, builds the kernel once and feeds it the neighbours' sum
+m[i+1] + m[i-1]; only `_ll_rhs` feeds it Lap m.  It folds -dt/(1 + alpha^2),
+f and the stencil's weights into one (3, 7) matrix.  Both cross products use
+(5, n) buffers with rows m1 m2 m3 m1 m2, so each is two products and one
+difference over (3, n).  The grid is periodic; `second_derivative` is the
 3-point stencil along axis 0, and `_laplacian_symbol` gives its
 eigenvalues.  The norms behind the projection and the norm drift, `_norms`,
 square the (3, n) field in one call and add its rows in np.linalg.norm's
 order.  The (n, 3) entry points (`_ll_rhs`, `_project`,
-`MagnetizationField.norm_drift`) call the same code on transposed views;
-the module keeps no kernel or buffer between calls.  This layout
-generalises to (3, B, n) batches.
+`MagnetizationField.norm_drift`) call the same code on transposed views; the
+module keeps no kernel or buffer between calls.  This layout generalises to
+(3, B, n) batches.
 
 The code a time step runs passes each ufunc its output positionally or uses
 the in-place operator (`a += b` is `np.add(a, b, out=a)`), and copies with

@@ -14,10 +14,11 @@ analytical modules.
 The time-stepped state is component-first: a C-contiguous (3, n) array, one
 row per component.  The RK4 factory rejects a dt above `cfl_limit` before
 any buffer is built; each factory builds its buffers, the kernel, its
-(3, 7) operators and P once; a step advances the state in place with
-ufuncs and matrix products that write to those buffers (their
-output passed positionally, as in `model`), allocates no array, and is
-bit-equal to the (n, 3) formulas written in the kernel's operation order.
+(3, 7) operators and, for the semi-implicit step, P once; a step advances
+the state in place with ufuncs and matrix products that write to those
+buffers (their output passed positionally, as in `model`), allocates no
+array, and is bit-equal to the (n, 3) formulas written in the kernel's
+operation order.
 `simulate` transposes only at entry, when it records diagnostics
 or a snapshot, and at exit; everything it returns is (n, 3).  Its loop reads
 the config once and takes the time of a step only when it records or
@@ -56,9 +57,9 @@ CFL_SAFETY = 0.25
 # domain, since periodic wrap-around pollutes the edges.
 DEFECT_THRESHOLD = 1e-2
 DEFECT_INTERIOR = 0.6
-# the largest n at which the semi-implicit step applies P as one dense (n, n) product,
-# not the real FFT pair: the dense step was the faster at 160, 192 and 224 and the slower
-# at 256, 320 and 384, in 40 of 40 or at least 37 of 40 batch pairs (BENCH_pde_feed.json)
+# the largest n at which the semi-implicit step applies P as one dense (n, n) product, not
+# the real FFT pair: dense/FFT per step 24.7/28.6 us at 192, 28.7/31.5 at 224, 34.7/31.7
+# at 256 and 51.2/38.9 at 384, each in at least 39 of 40 batch pairs (BENCH_pde_feed.json)
 DENSE_MAX_N = 192
 
 
