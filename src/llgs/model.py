@@ -28,6 +28,15 @@ order.  The (n, 3) entry points (`_ll_rhs`, `_project`,
 module keeps no kernel or buffer between calls.  This layout generalises to
 (3, B, n) batches.
 
+A kernel's buffers, and any arrays its caller asks for with them (a
+stepper's stage buffers, `simulate`'s state and projection scratch), are
+views of one block from `_staggered`, each on its own cache line and at its
+own page offset.  Allocated one by one, (r, n) float arrays whose size is a
+multiple of 4 KiB would start a 16-byte malloc header or two apart modulo
+4096, and every ufunc over them would 4K-alias: a load that matches an
+earlier store in its low 12 address bits waits for it, which nearly doubles
+the time of a (3, 1024) multiply.
+
 The code a time step runs passes each ufunc its output positionally or uses
 the in-place operator (`a += b` is `np.add(a, b, out=a)`), and copies with
 `a[...] = b`: at n = 64 (numpy 2.4) a ufunc call costs about 0.7-0.9 us with
@@ -39,6 +48,7 @@ are the same either way.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -292,6 +302,29 @@ def local_wavenumber(sph: SphericalField) -> np.ndarray:
     return np.gradient(sph.phi, sph.grid.dx)
 
 
+_PAGE, _LINE = 4096, 64
+
+
+def _staggered(*shapes) -> list[np.ndarray]:
+    """C-contiguous float arrays of the given shapes, views of one np.empty block.
+
+    Array j starts at the first byte past array j - 1 whose page offset
+    (address mod 4096) is j * spread, spread = 4096 / len(shapes) rounded
+    down to a cache line: every array starts on a line, at least spread bytes
+    from every other's page offset, and no gap reaches a page.  The module
+    docstring says why; up to 64 arrays keep the spread at least a line.
+    """
+    spread = _PAGE // len(shapes) // _LINE * _LINE // 8  # in floats, as are the bounds
+    bounds, end = [], 0
+    for j, shape in enumerate(shapes):
+        start = end + (j * spread - end) % (_PAGE // 8)
+        end = start + math.prod(shape)
+        bounds.append((start, end, shape))
+    block = np.empty(end + _LINE // 8)
+    block = block[-block.ctypes.data % _LINE // 8:]  # from its first cache line
+    return [block[start:end].reshape(shape) for start, end, shape in bounds]
+
+
 class _Extended:
     """A (5, n) buffer whose rows x1 x2 x3 x1 x2 extend a (3, n) field cyclically.
 
@@ -337,21 +370,28 @@ class _LLKernel:
 
     Allocate one per grid size and parameter set and reuse it: a caller
     writes the field into `m.rows` and its Laplacian term into `lap` (or
-    calls `neighbour_sum`) before each `rhs` call.
+    calls `neighbour_sum`) before each `rhs` call.  Its three buffers and
+    float arrays of the caller's `shapes`, listed in `extra`, come from one
+    `_staggered` block, so no two of them start at nearby page offsets.
     """
 
-    def __init__(self, n: int, params: ModelParams):
-        buf = np.empty((9, n))  # rows lap1 lap2 lap3 1 m1 m2 m3 m1 m2
-        buf[3] = 1.0
+    def __init__(self, n: int, params: ModelParams, *shapes):
+        buf, g, c, *self.extra = _staggered((9, n), (5, n), (5, n), *shapes)
+        buf[3] = 1.0  # rows lap1 lap2 lap3 1 m1 m2 m3 m1 m2
         self.lap, self.m, self._operand = buf[:3], _Extended(buf[4:]), buf[:7]
-        self._g, self._c = _Extended(np.empty((5, n))), _Extended(np.empty((5, n)))
+        self._g, self._c = _Extended(g), _Extended(c)
         self._params, self._alpha = params, np.array(float(params.alpha))
+
+    @functools.cached_property
+    def _stencil(self):
+        """`neighbour_sum`'s three adds as (x, y, out) views, built on its first call:
+        `_ll_rhs` builds a kernel for each call and never takes the sum."""
         m, lap = self.m.rows, self.lap
         flat_m, flat_lap = m.reshape(-1), lap.reshape(-1)  # views: both are C-contiguous
         # m[i+1] + m[i-1] along the flat memory; the first and last columns, which the
         # shift takes from the neighbouring rows, are redone
-        self._stencil = ((flat_m[2:], flat_m[:-2], flat_lap[1:-1]),
-                         (m[:, 1], m[:, -1], lap[:, 0]), (m[:, 0], m[:, -2], lap[:, -1]))
+        return ((flat_m[2:], flat_m[:-2], flat_lap[1:-1]),
+                (m[:, 1], m[:, -1], lap[:, 0]), (m[:, 0], m[:, -2], lap[:, -1]))
 
     def operator(self, dt: float, dx2: float | None = None) -> np.ndarray:
         """The (3, 7) matrix from the rows lap, 1, m to g' = s (Lap m - f(m)), s = -dt/(1+alpha^2).
@@ -365,10 +405,10 @@ class _LLKernel:
         op = np.zeros((3, 7))
         op[0, 5], op[1, 4] = -s * p.beta, s * p.beta
         op[2, 3], op[2, 6] = s * p.h, -s * p.mu
-        rows = [0, 1, 2]
-        op[rows, rows] = s if dx2 is None else s / dx2
+        flat = op.reshape(-1)  # flat[::8] and flat[4::8] are op[i, i] and op[i, 4 + i]
+        flat[::8] = s if dx2 is None else s / dx2
         if dx2 is not None:
-            op[rows, [4, 5, 6]] += -2.0 * op[0, 0]
+            flat[4::8] += -2.0 * flat[0]
         return op
 
     def neighbour_sum(self):

@@ -26,6 +26,7 @@ from llgs.model import (
     _ll_rhs,
     _norm_drift,
     _norms,
+    _staggered,
     first_derivative,
     gilbert_residual,
     local_wavenumber,
@@ -429,3 +430,21 @@ def test_stereographic_of_equator(grid):
 def test_field_shape_validation(grid):
     with pytest.raises(ValueError):
         MagnetizationField(grid, np.zeros((grid.n, 2)))
+
+
+@pytest.mark.parametrize("n", [3, 64, 100, 1024])
+@pytest.mark.parametrize("count", [1, 3, 9, 32])
+def test_staggered_arrays_start_on_lines_spread_over_the_page(n, count):
+    shapes = ([(9, n), (n,), (3, n)] * count)[:count]
+    arrays = _staggered(*shapes)
+    assert [a.shape for a in arrays] == shapes
+    assert all(a.flags.c_contiguous and a.flags.writeable and a.dtype == float for a in arrays)
+    starts = [a.ctypes.data for a in arrays]
+    assert all(s % 64 == 0 for s in starts)
+    assert all(a.ctypes.data + a.nbytes <= b for a, b in zip(arrays, starts[1:]))  # in order
+    spread = 4096 // count // 64 * 64
+    assert all((b - starts[0]) % 4096 == j * spread for j, b in enumerate(starts))
+    gaps = [b - (a.ctypes.data + a.nbytes) for a, b in zip(arrays, starts[1:])]
+    assert all(0 <= gap < 4096 for gap in gaps)
+    if n == 1024:  # sizes are whole pages, so each gap is the spread
+        assert gaps == [spread] * (count - 1)

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -566,6 +568,63 @@ def test_dense_step_allocates_no_array(rng):
     a, b, out = np.ones((3, grid.n)), np.ones((grid.n, grid.n)), np.empty((3, grid.n))
     allowed = 256 + _peak_bytes(lambda: np.matmul(a, b, out))
     assert _peak_bytes(lambda: step(m)) < allowed
+
+
+def _reachable_arrays(obj, found, seen):
+    """Append to found every ndarray reachable from obj through closures, function
+    attributes, bound methods, partials, tuples, lists and the attributes of llgs objects."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        found.append(obj)
+        return
+    if isinstance(obj, types.FunctionType):
+        children = [cell.cell_contents for cell in obj.__closure__ or ()] + list(vars(obj).values())
+    elif isinstance(obj, types.MethodType):
+        children = [obj.__self__]
+    elif isinstance(obj, functools.partial):
+        children = obj.args
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    elif type(obj).__module__.startswith("llgs"):
+        children = list(vars(obj).values())
+    else:
+        return
+    for child in children:
+        _reachable_arrays(child, found, seen)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "semi-implicit"])
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_step_buffers_start_at_distinct_page_offsets(integrator, n):
+    # every (r, n) float array is a multiple of 4 KiB here, so arrays from separate mallocs
+    # start a 16-byte header or two apart mod 4096, and a ufunc whose operands start that
+    # close 4K-aliases (twice the time of a (3, 1024) multiply); the step's buffers,
+    # simulate's state and the projection's scratch start on cache lines >= 64 B apart
+    grid = Grid1D(20 * np.pi, n)
+    step = _STEPPERS[integrator](grid, PARAMS, 0.5 * cfl_limit(grid, PARAMS),
+                                 (3, n), (n,), (3, n))  # simulate's m, norm and sq
+    m, norm, sq = step.arrays
+    assert (m.shape, norm.shape, sq.shape) == ((3, n), (n,), (3, n))
+    found = []
+    _reachable_arrays(step, found, set())
+    large = [a for a in found if a.size >= n]  # not the operators, scalars or wrap columns
+    assert all(a.flags.c_contiguous and a.dtype.kind in "fc" for a in large)
+    # a buffer is a maximal run of overlapping arrays; it starts where its first view does
+    spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in large)
+    starts, end = [], -1
+    for lo, hi in spans:
+        if lo >= end:
+            starts.append(lo)
+        end = max(end, hi)
+    # buf, g, c, m, norm, sq, and k and acc (RK4) or k, half and spectrum (the FFT step)
+    assert len(starts) == 8 if integrator == "rk4" else 9
+    assert all(start % 64 == 0 for start in starts)
+    offsets = [start % 4096 for start in starts]
+    for i, a in enumerate(offsets):
+        for b in offsets[i + 1:]:
+            assert min((a - b) % 4096, (b - a) % 4096) >= 64
 
 
 @pytest.mark.parametrize("n", [3, 4, 16, 64, 96, DENSE_MAX_N])

@@ -11,7 +11,8 @@ state.  The layers:
   perfbench's `model.rhs_us` times;
 - rk4-step, semi-step: one step of `simulate`'s RK4 or semi-implicit stepper
   plus the projection to the sphere that `simulate` applies after it, at
-  dt = cfl_limit/2 (RK4) or 0.005 (semi-implicit);
+  dt = cfl_limit/2 (RK4) or 0.005 (semi-implicit), on a state and scratch
+  allocated as the tree's `simulate` allocates them;
 - simulate: the `simulate` loop with its records on the hopf preset's
   problem at n points (+e3 with noise of amplitude 1e-3 and seed 7 on
   L = 2 pi), semi-implicit at dt = 0.005 for SIMULATE_STEPS steps,
@@ -103,26 +104,33 @@ def layer_call(modules, layer: str, n: int):
         return lambda: run, output
     integrator = "rk4" if layer == "rk4-step" else "semi-implicit"
     dt = 0.5 * sim.cfl_limit(grid, params) if integrator == "rk4" else 0.005
-    m = np.empty((3, n))
+    make_step = sim._STEPPERS[integrator]
 
-    def make():
-        step = sim._STEPPERS[integrator](grid, params, dt)
+    def instance():
+        """A fresh stepper and the state it steps; the state and the projection's scratch
+        come from where the tree's `simulate` takes them: the stepper's own block when the
+        tree's factories place them (`model._staggered`), else np.empty."""
+        if hasattr(model, "_staggered"):
+            step = make_step(grid, params, dt, (3, n), (n,), (3, n))
+            m, norm, sq = step.arrays
+        else:
+            step = make_step(grid, params, dt)
+            m, norm, sq = np.empty((3, n)), np.empty(n), np.empty((3, n))
         m[...] = values.T
-        norm, sq = np.empty(n), np.empty((3, n))
 
         def call():
             step(m)
             model._normalize(m, m, norm, sq)
 
-        return call
+        return call, m
 
     def output():
-        call = make()
+        call, m = instance()
         for _ in range(EQUAL_STEPS):
             call()
         return m.tobytes()
 
-    return make, output
+    return lambda: instance()[0], output
 
 
 def batch(make, reps: int, rounds: int = 5) -> float:
