@@ -62,8 +62,9 @@ CFL_SAFETY = 0.25
 DEFECT_THRESHOLD = 1e-2
 DEFECT_INTERIOR = 0.6
 # the largest n at which the semi-implicit step applies P as one dense (n, n) product, not
-# the real FFT pair: dense/FFT per step 24.7/28.6 us at 192, 28.7/31.5 at 224, 34.7/31.7
-# at 256 and 51.2/38.9 at 384, each in at least 39 of 40 batch pairs (BENCH_pde_feed.json)
+# the real FFT pair: dense/FFT per step 21.1/29.8 us at 192, 24.0/32.6 at 224, 35.6/31.2
+# at 256 and 71.5/41.1 at 384, each in at least 38 of 40 batch pairs (BENCH_pde_arena.json);
+# raising it to the crossover would change the outputs at the sizes it moves
 DENSE_MAX_N = 192
 
 
