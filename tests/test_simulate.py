@@ -21,7 +21,7 @@ from llgs import (
 )
 from llgs.coherent import CoherentAnsatz, CoherentProfile
 from llgs.errors import BlowupError, CFLError, CommensurabilityError, ConfigError
-from llgs.model import energy, rotate_about_e3, second_derivative
+from llgs.model import _normalize, energy, rotate_about_e3, second_derivative
 from llgs.simulate import (DENSE_MAX_N, _STEPPERS, Trajectory, _dense_operators, _perturb,
                            _project, cfl_limit, check_commensurate, mode_amplitudes)
 from llgs.wavetrains import wavetrain_field
@@ -568,6 +568,16 @@ def test_dense_step_allocates_no_array(rng):
     a, b, out = np.ones((3, grid.n)), np.ones((grid.n, grid.n)), np.empty((3, grid.n))
     allowed = 256 + _peak_bytes(lambda: np.matmul(a, b, out))
     assert _peak_bytes(lambda: step(m)) < allowed
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_projection_allocates_no_array(rng, n):
+    # a (3, n) by (n,) broadcast divide allocates numpy's iterator buffer, 2.6 KB at n = 64
+    # and 25.7 KB at n = 1024, on every call
+    grid = Grid1D(2 * np.pi, n)
+    m = random_smooth_field(rng, grid).values.T.copy()
+    norm, sq = np.empty(n), np.empty((3, n))
+    assert _peak_bytes(lambda: _normalize(m, m, norm, sq)) < 256
 
 
 def _reachable_arrays(obj, found, seen):
