@@ -32,10 +32,11 @@ A kernel's buffers, and any arrays its caller asks for with them (a
 stepper's stage buffers, `simulate`'s state and projection scratch), are
 views of one block from `_staggered`, each on its own cache line and at its
 own page offset.  Allocated one by one, (r, n) float arrays whose size is a
-multiple of 4 KiB would start a 16-byte malloc header or two apart modulo
-4096, and every ufunc over them would 4K-alias: a load that matches an
-earlier store in its low 12 address bits waits for it, which nearly doubles
-the time of a (3, 1024) multiply.
+multiple of 4 KiB start at page offsets that the heap's history sets, and
+two that start a 16-byte malloc header or two apart modulo 4096 4K-alias
+in every ufunc over them: a load that matches an earlier store in its low
+12 address bits waits for it, and a (3, 1024) multiply takes 1.7 times as
+long.
 
 The code a time step runs passes each ufunc its output positionally or uses
 the in-place operator (`a += b` is `np.add(a, b, out=a)`), and copies with

@@ -28,7 +28,7 @@ allocated once, as its finiteness test, and the energy and phi0 from the
 factory, which allocates them with its own buffers in one
 `model._staggered` block and hands them back as `step.arrays`: no two
 arrays a step, the projection or a record touch start at nearby page
-offsets, where at n = 1024 separate allocations would 4K-alias.
+offsets, where at n = 1024 separate allocations can 4K-alias.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ CFL_SAFETY = 0.25
 DEFECT_THRESHOLD = 1e-2
 DEFECT_INTERIOR = 0.6
 # the largest n at which the semi-implicit step applies P as one dense (n, n) product, not
-# the real FFT pair: dense/FFT per step 21.1/29.8 us at 192, 24.0/32.6 at 224, 35.6/31.2
-# at 256 and 71.5/41.1 at 384, each in at least 38 of 40 batch pairs (BENCH_pde_arena.json);
+# the real FFT pair: dense/FFT per step 22.5/25.6 us at 192, 26.7/28.3 at 224, 32.4/28.6
+# at 256 and 60.4/33.4 at 384, each in at least 39 of 40 batch pairs (BENCH_pde_arena.json);
 # raising it to the crossover would change the outputs at the sizes it moves
 DENSE_MAX_N = 192
 

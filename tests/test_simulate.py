@@ -610,7 +610,7 @@ def _reachable_arrays(obj, found, seen):
 def test_step_buffers_start_at_distinct_page_offsets(integrator, n):
     # every (r, n) float array is a multiple of 4 KiB here, so arrays from separate mallocs
     # start a 16-byte header or two apart mod 4096, and a ufunc whose operands start that
-    # close 4K-aliases (twice the time of a (3, 1024) multiply); the step's buffers,
+    # close 4K-aliases (1.7 times the time of a (3, 1024) multiply); the step's buffers,
     # simulate's state and the projection's scratch start on cache lines >= 64 B apart
     grid = Grid1D(20 * np.pi, n)
     step = _STEPPERS[integrator](grid, PARAMS, 0.5 * cfl_limit(grid, PARAMS),
@@ -629,7 +629,7 @@ def test_step_buffers_start_at_distinct_page_offsets(integrator, n):
             starts.append(lo)
         end = max(end, hi)
     # buf, g, c, m, norm, sq, and k and acc (RK4) or k, half and spectrum (the FFT step)
-    assert len(starts) == 8 if integrator == "rk4" else 9
+    assert len(starts) == (8 if integrator == "rk4" else 9)
     assert all(start % 64 == 0 for start in starts)
     offsets = [start % 4096 for start in starts]
     for i, a in enumerate(offsets):
