@@ -24,11 +24,11 @@ or a snapshot, and at exit; everything it returns is (n, 3).  Its loop reads
 the config once and takes the time of a step only when it records or
 stores; a record takes the norm drift on the (3, n) state, into scratch
 allocated once, as its finiteness test, and the energy and phi0 from the
-(n, 3) copy.  `simulate` passes the shapes of its state and scratch to the
-factory, which allocates them with its own buffers in one
-`model._staggered` block and hands them back as `step.arrays`: no two
-arrays a step, the projection or a record touch start at nearby page
-offsets, where at n = 1024 separate allocations can 4K-alias.
+(n, 3) copy.  Each factory allocates the (3, n) state, the (n,) norms and
+the (3, n) squares with its own buffers, in one `model._staggered` block,
+and hands them back as `step.arrays`, which `simulate` steps and projects:
+no two arrays a step, the projection or a record touch start at nearby
+page offsets, where at n = 1024 separate allocations can 4K-alias.
 """
 
 from __future__ import annotations
@@ -100,15 +100,12 @@ class SimConfig:
                 f"{self.diag_every} and {self.store_every}"
             )
 
-    def validate(self, grid: Grid1D, params: ModelParams, *shapes):
-        """The integrator's step function, which advances a (3, n) field in place.
-
-        Its `arrays` are float arrays of `shapes` from the stepper's own block.
-        """
+    def validate(self, grid: Grid1D, params: ModelParams):
+        """The integrator's step function, which advances a (3, n) field in place."""
         make_step = _STEPPERS.get(self.integrator)
         if make_step is None:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
-        return make_step(grid, params, self.dt, *shapes)
+        return make_step(grid, params, self.dt)
 
 
 @dataclass
@@ -150,7 +147,7 @@ def _dense_operators(grid: Grid1D, denominator: np.ndarray) -> np.ndarray:
     return p[(j[None, :] - j[:, None]) % grid.n]
 
 
-def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float, *shapes):
+def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float):
     """Step m_{n+1} = m_n + P (dt * rhs(m_n)), with P = (I - dt*c*Lap)^{-1}.
 
     c = alpha/(1+alpha^2) is the ellipticity constant.  In exact arithmetic
@@ -163,7 +160,8 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float, *shapes):
     (`_dense_operators`) on the (3, n) state; above it, a real FFT along the
     rows, a divide by the symbol's first n//2 + 1 values and the inverse.
     The kernel, its operator, P and the buffers are built here, once; the
-    buffers, the FFT path's complex ones too, come from the kernel's block.
+    buffers, the FFT path's complex ones too, and the state and projection
+    scratch handed back as `step.arrays` come from the kernel's block.
     """
     n = grid.n
     c = params.alpha / (1.0 + params.alpha ** 2)
@@ -171,7 +169,8 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float, *shapes):
     dense = n <= DENSE_MAX_N
     # the complex (3, n//2 + 1) half and spectrum as floats, two to a value
     complex_shapes = () if dense else 2 * ((3, 2 * (n // 2 + 1)),)
-    kernel = _LLKernel(n, params, (3, n), *complex_shapes, *shapes)
+    # k, the FFT path's buffers, then the state m, norms and squares for step.arrays
+    kernel = _LLKernel(n, params, (3, n), *complex_shapes, (3, n), (n,), (3, n))
     k, *spare = kernel.extra
     x, lap = kernel.m.rows, kernel.lap
     neighbour_sum, op = kernel.neighbour_sum, kernel.operator(dt, grid.dx ** 2)
@@ -198,20 +197,23 @@ def _semi_implicit(grid: Grid1D, params: ModelParams, dt: float, *shapes):
     return step
 
 
-def _rk4(grid: Grid1D, params: ModelParams, dt: float, *shapes):
+def _rk4(grid: Grid1D, params: ModelParams, dt: float):
     """Classical RK4 step of the full right-hand side.
 
     Explicit, so a dt above `cfl_limit` is a CFLError.  The step advances a
     (3, n) field in place.  The kernel returns each stage's slope times
     dt/2, dt/2, dt and dt/6, so the stage inputs are m plus a stage output
     and the update is (a1 + 2 a2 + a3)/3 + a4.  The kernel, its operators
-    and the stage and sum buffers are allocated here, once; the buffers come
-    from the kernel's block.
+    and the stage and sum buffers are allocated here, once; the buffers, and
+    the state and projection scratch handed back as `step.arrays`, come from
+    the kernel's block.
     """
     limit = cfl_limit(grid, params)
     if dt > limit:
         raise CFLError(f"dt = {dt:.3e} exceeds the explicit bound {limit:.3e}")
-    kernel = _LLKernel(grid.n, params, (3, grid.n), (3, grid.n), *shapes)
+    n = grid.n
+    # k and acc, then the state m, norms and squares for step.arrays
+    kernel = _LLKernel(n, params, (3, n), (3, n), (3, n), (n,), (3, n))
     x = kernel.m.rows  # each stage's input
     k, acc, *arrays = kernel.extra
     half, full, sixth = (kernel.operator(h, grid.dx ** 2) for h in (0.5 * dt, dt, dt / 6.0))
@@ -237,9 +239,9 @@ def _rk4(grid: Grid1D, params: ModelParams, dt: float, *shapes):
     return step
 
 
-# SimConfig.integrator -> factory (periodic grid, params, dt, *shapes) -> step(m), in place
-# on (3, n), with step.arrays the caller's float arrays of shapes, allocated in the stepper's
-# `_staggered` block; RK4's rejects a dt above cfl_limit before it allocates
+# SimConfig.integrator -> factory (periodic grid, params, dt) -> step(m), in place on
+# (3, n), with step.arrays the state m, norms and squares from the stepper's `_staggered`
+# block; RK4's rejects a dt above cfl_limit before it allocates
 _STEPPERS = {"rk4": _rk4, "semi-implicit": _semi_implicit}
 
 
@@ -260,9 +262,8 @@ def simulate(initial: MagnetizationField, params: ModelParams, config: SimConfig
     """
     initial.check_unit_norm()
     grid = initial.grid
-    # the (3, n) state, stepped in place, and the projection's scratch, from the stepper's block
-    step_fn = config.validate(grid, params, (3, grid.n), (grid.n,), (3, grid.n))
-    m, norm, sq = step_fn.arrays
+    step_fn = config.validate(grid, params)
+    m, norm, sq = step_fn.arrays  # the (3, n) state, stepped in place, and the projection's scratch
     m[...] = initial.values.T
     t0, dt = initial.time, config.dt
     diag_every, store_every = config.diag_every, config.store_every

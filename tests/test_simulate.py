@@ -613,9 +613,8 @@ def test_step_buffers_start_at_distinct_page_offsets(integrator, n):
     # close 4K-aliases (1.7 times the time of a (3, 1024) multiply); the step's buffers,
     # simulate's state and the projection's scratch start on cache lines >= 64 B apart
     grid = Grid1D(20 * np.pi, n)
-    step = _STEPPERS[integrator](grid, PARAMS, 0.5 * cfl_limit(grid, PARAMS),
-                                 (3, n), (n,), (3, n))  # simulate's m, norm and sq
-    m, norm, sq = step.arrays
+    step = _STEPPERS[integrator](grid, PARAMS, 0.5 * cfl_limit(grid, PARAMS))
+    m, norm, sq = step.arrays  # simulate's state and the projection's scratch
     assert (m.shape, norm.shape, sq.shape) == ((3, n), (n,), (3, n))
     found = []
     _reachable_arrays(step, found, set())

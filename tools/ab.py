@@ -108,13 +108,12 @@ def layer_call(modules, layer: str, n: int):
 
     def instance():
         """A fresh stepper and the state it steps; the state and the projection's scratch
-        come from where the tree's `simulate` takes them: the stepper's own block when the
-        tree's factories place them (`model._staggered`), else np.empty."""
-        if hasattr(model, "_staggered"):
-            step = make_step(grid, params, dt, (3, n), (n,), (3, n))
+        come from where the tree's `simulate` takes them: the stepper's `arrays` when the
+        tree's factories allocate them, else np.empty."""
+        step = make_step(grid, params, dt)
+        if hasattr(step, "arrays"):
             m, norm, sq = step.arrays
         else:
-            step = make_step(grid, params, dt)
             m, norm, sq = np.empty((3, n)), np.empty(n), np.empty((3, n))
         m[...] = values.T
 
