@@ -8,11 +8,15 @@ sites use: the Dormand-Prince 8(5,3) pair with its 7th-order dense output
 (E. Hairer, S. P. Norsett and G. Wanner, *Solving Ordinary Differential
 Equations I*, 2nd ed., Springer 1993, sec. II.5-6), forward in t, with
 scalar rtol and atol, max_step, dense output on every run, and one terminal
-event with a direction.
+event with a direction.  Each step returns its own interpolant, and one
+function, `_interpolate`, evaluates it: at the event root finder's points on
+that step, and at any array of t on the run's steps, stacked in `OdeSolution`.
 
 Both keep SciPy's arithmetic operation for operation (the step-size rule,
 the error norm, `np.dot` calls on the same array layouts, the dense-output
-polynomial), so their results are bit-equal to SciPy's.  The algorithms and
+polynomial), so their results are bit-equal to SciPy's.  One departure is
+deliberate: a step size that is NaN, as a non-finite start gives, ends the
+run with status -1 where SciPy retries it forever.  The algorithms and
 coefficients are from SciPy 1.17 (`optimize/Zeros/brentq.c`, `integrate/_ivp/`),
 Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers, under the
 BSD 3-Clause license.
@@ -148,47 +152,34 @@ def _norm(x):  # RMS norm
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-class _Segment:
-    """Dense output of one step: the 7th-order DOP853 interpolant."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old
-        return y.T
+def _interpolate(t, t_old, h, y_old, F):
+    """The 7th-order DOP853 interpolant of steps (t_old, h, y_old, F) at t, with
+    SciPy's evaluation order.  One step and a scalar t give y with y_old's shape;
+    steps stacked along t's axis (y_old (m, n), F (m, 7, n)) give y (n, m)."""
+    x = np.asarray((t - t_old) / h)[..., None]
+    y = np.zeros(np.broadcast(x, y_old).shape)
+    for i in range(INTERPOLATOR_POWER):
+        y += F[..., -1 - i, :]
+        y *= x if i % 2 == 0 else 1 - x
+    y += y_old
+    return y.T
 
 
 class OdeSolution:
-    """The solution over the whole run: each t is read off the segment that
-    holds it, the first one at a step end, the end segments beyond the ends."""
+    """The solution over the whole run, from its steps (t_old, h, y_old, F): each
+    t is read off the step that holds it, the first one at a step end, the end
+    steps beyond the ends."""
 
-    def __init__(self, ts, segments):
-        self.ts, self.segments = np.asarray(ts), segments
-
-    def _index(self, t):
-        return np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.segments) - 1)
+    def __init__(self, ts, steps):
+        self.ts = ts
+        self.t_old, self.h, self.y_old, self.F = (np.array([s[i] for s in steps])
+                                                  for i in range(4))
 
     def __call__(self, t):
         t = np.asarray(t)
-        if t.ndim == 0:
-            return self.segments[self._index(t)](t)
-        index = self._index(t)
-        y = np.empty((self.segments[0].y_old.size, t.size))
-        # the interpolant is elementwise in t; np.unique would import numpy.ma here
-        for i in set(index.tolist()):
-            y[:, index == i] = self.segments[i](t[index == i])
-        return y
+        index = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
+        return _interpolate(t, self.t_old[index], self.h[index], self.y_old[index],
+                            self.F[index])
 
 
 class _DOP853:
@@ -234,15 +225,17 @@ class _DOP853:
         denom = err5_norm_2 + 0.01 * err3_norm_2
         return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
-    def step(self) -> bool:
-        """Take one accepted step; False when the step size underflows."""
+    def step(self):
+        """Take one accepted step and return it as (t_old, h, y_old, F), F the
+        coefficients of its interpolant, which cost three more evaluations;
+        None when the step size underflows."""
         t, y, K = self.t, self.y, self.K
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = self.max_step if self.h_abs > self.max_step else max(self.h_abs, min_step)
         step_rejected = False
         while True:
-            if h_abs < min_step:
-                return False
+            if not h_abs >= min_step:  # also a NaN step size, which SciPy retries forever
+                return None
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = np.abs(h)
@@ -261,24 +254,18 @@ class _DOP853:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
-        self.h_previous, self.t_old, self.y_old = h, t, y
         self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs, f_new
-        return True
-
-    def dense_output(self) -> _Segment:
-        """The last step's interpolant; it costs three more evaluations."""
-        K, h = self.K_extended, self.h_previous
+        K = self.K_extended  # the step's stages and three more for its interpolant
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
             dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = self.fun(self.t_old + C[s] * h, self.y_old + dy)
-        F = np.empty((INTERPOLATOR_POWER, self.y.size))
-        f_old = K[0]
-        delta_y = self.y - self.y_old
+            K[s] = self.fun(t + C[s] * h, y + dy)
+        F = np.empty((INTERPOLATOR_POWER, y.size))
+        delta_y = y_new - y
         F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (f_new + K[0])
         F[3:] = h * np.dot(D, K)
-        return _Segment(self.t_old, self.t, self.y_old, F)
+        return t, h, y, F
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, events=None, max_step=np.inf):
@@ -293,7 +280,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=None, max_step=np.inf):
     """
     t0, tf = map(float, t_span)
     solver = _DOP853(fun, t0, y0, tf, max_step, rtol, atol)
-    ts, ys, segments, t_events = [t0], [solver.y], [], []
+    ts, ys, steps, t_events = [t0], [solver.y], [], []
     if events is not None:
         if not getattr(events, "terminal", False):
             raise ConfigError("solve_ivp supports one terminal event only")
@@ -301,29 +288,27 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=None, max_step=np.inf):
         g = events(t0, solver.y)
     status = None
     while status is None:
-        if not solver.step():
+        step = solver.step()
+        if step is None:
             status = -1
             break
         if solver.t >= tf:
             status = 0
         t, y = solver.t, solver.y
-        sol = solver.dense_output()
-        segments.append(sol)
         if events is not None:
             g_new = events(t, y)
             if (g <= 0 <= g_new and direction >= 0) or (g >= 0 >= g_new and direction <= 0):
-                root = np.float64(brentq(lambda s: events(s, sol(s)), solver.t_old, t,
-                                         xtol=4 * EPS, rtol=4 * EPS))
+                root = np.float64(brentq(lambda s: events(s, _interpolate(s, *step)), step[0],
+                                         t, xtol=4 * EPS, rtol=4 * EPS))
                 t_events.append(root)
-                status, t, y = 1, root, sol(root)
+                status, t, y = 1, root, _interpolate(root, *step)
             g = g_new
-        if len(ts) > 1 and ts[-1] == t:  # an event at the last step end
-            segments.pop()
-        else:
+        if len(ts) == 1 or ts[-1] != t:  # not an event root at the last step end
             ts.append(t)
             ys.append(y)
+            steps.append(step)
     ts = np.array(ts)
     return SimpleNamespace(
-        t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, segments),
+        t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, steps),
         t_events=[np.asarray(t_events)], nfev=solver.nfev, status=status,
         message=MESSAGES[status], success=status >= 0)

@@ -406,6 +406,8 @@ def monotone_drift_check(params: ModelParams, Omega: float) -> DriftReport:
         atol=1e-11,
         events=qzero,
     )
+    if not sol.success:
+        raise ConvergenceError(f"drift integration failed: {sol.message}")
     xi = np.linspace(0.0, sol.t[-1], 1500)
     y = sol.sol(xi)
     Q = np.log(np.abs(y[2]) * np.sin(y[0]) ** 2)

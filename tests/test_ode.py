@@ -159,7 +159,9 @@ def test_event_with_dense_output_equals_scipy(params, Omega):
     qzero.terminal = True
     ours, theirs = _both(lambda t, y: ode_rhs(y, params, ansatz), (0.0, 30.0), [1.2, 0.0, 0.5],
                          rtol=1e-11, atol=1e-11, events=qzero)
-    _assert_same(ours, theirs, np.linspace(0.0, ours.t[-1], 1500))
+    # with points before t0 and past the last step end, read off the end steps
+    _assert_same(ours, theirs, np.concatenate([[-1.0, -1e-3], np.linspace(0.0, ours.t[-1], 1500),
+                                               ours.t[-1] + [1e-3, 1.0]]))
 
 
 def test_fast_front_shots_equal_scipy():
@@ -208,10 +210,53 @@ def test_event_that_is_not_terminal_is_a_config_error():
 
 
 def test_failed_run_reports_scipy_status_and_nfev():
-    # y' = y^2 blows up at t = 1: the step size underflows before t = 2
-    ours, theirs = _both(lambda t, y: y * y, (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-10)
-    assert ours.status == -1 and not ours.success
-    _assert_same(ours, theirs)
+    # y' = y^2 blows up at t = 1: the step size underflows before t = 2;
+    # y' = inf underflows before the first step is accepted
+    for fun, t_span in [(lambda t, y: y * y, (0.0, 2.0)),
+                        (lambda t, y: np.full_like(y, np.inf), (0.0, 1.0))]:
+        with np.errstate(invalid="ignore"):
+            ours, theirs = _both(fun, t_span, [1.0], rtol=1e-8, atol=1e-10)
+        assert ours.status == -1 and not ours.success
+        _assert_same(ours, theirs)
+
+
+def _run_python(code, cwd, timeout=None):
+    """Run code in a fresh interpreter that imports this llgs."""
+    src = str(Path(llgs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+NON_FINITE_START = """
+from llgs import ModelParams, _ode
+from llgs.coherent import integrate_stationary, monotone_drift_check
+from llgs.errors import ConvergenceError
+
+try:
+    run = CALL
+    print(run.status, run.success, run.t, run.nfev)
+except ConvergenceError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("call, outcome", [
+    ("_ode.solve_ivp(lambda t, y: [float('nan')], (0.0, 1.0), [1.0], rtol=1e-8, atol=1e-10)",
+     "-1 False [0.] 2"),
+    ("integrate_stationary(ModelParams(1.0), 0.0, 1.2, float('nan'), 0.5, 10.0)",
+     "stationary integration failed: " + _ode.MESSAGES[-1]),
+    ("integrate_stationary(ModelParams(1.0), 0.0, 1.2, float('inf'), 0.5, 10.0)",
+     "stationary integration failed: " + _ode.MESSAGES[-1]),
+    ("monotone_drift_check(ModelParams(1.0, 0.5, 1.0, 0.0), float('nan'))",
+     "drift integration failed: " + _ode.MESSAGES[-1]),
+], ids=["solve_ivp-nan", "stationary-p0-nan", "stationary-p0-inf", "drift-omega-nan"])
+def test_non_finite_start_fails_without_hanging(call, outcome, tmp_path):
+    # a NaN step size never reads below min_step, and SciPy retries it forever:
+    # the child's timeout keeps such a regression from hanging the suite
+    done = _run_python(NON_FINITE_START.replace("CALL", call), tmp_path, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == outcome
 
 
 NO_SCIPY = """
@@ -238,8 +283,5 @@ def test_import_and_cli_runs_load_no_scipy(tmp_path):
             ["coherent", "--preset", "fast-front"],
             ["simulate", "--preset", "equilibrium"]]
     runs = [argv + ["--out", str(tmp_path / f"run{i}.csv")] for i, argv in enumerate(runs)]
-    src = str(Path(llgs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", f"RUNS = {runs!r}\n" + NO_SCIPY],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    done = _run_python(f"RUNS = {runs!r}\n" + NO_SCIPY, tmp_path)
     assert done.returncode == 0, done.stderr

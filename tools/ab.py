@@ -1,7 +1,8 @@
-"""Time one PDE layer of two llgs source trees against each other in one interpreter.
+"""Time one layer of two llgs source trees against each other in one interpreter.
 
     python3 tools/ab.py A_SRC B_SRC --layer {rhs,rk4-step,semi-step,simulate} --n N
                         [--out FILE]
+    python3 tools/ab.py A_SRC B_SRC --layer {homoclinic,fast-front} [--out FILE]
 
 Each tree's `llgs` is imported under its own name (`llgs_a`, `llgs_b`) through
 `sys.modules`, so both sit in one process and share its numpy, BLAS and cache
@@ -16,18 +17,26 @@ state.  The layers:
 - simulate: the `simulate` loop with its records on the hopf preset's
   problem at n points (+e3 with noise of amplitude 1e-3 and seed 7 on
   L = 2 pi), semi-implicit at dt = 0.005 for SIMULATE_STEPS steps,
-  `diag_every` 10.
+  `diag_every` 10;
+- homoclinic: `stationary_homoclinic` on the cohex preset's problem
+  ((alpha, beta, mu, h) = (1, 1, 7, 0), Omega = 1, C = 1): the portrait scan
+  and both shots with their dense output;
+- fast-front: `fast_heteroclinic` on the fast-front preset's problem
+  ((1, 0, 1, 0), Omega = 0, Omega1 = 0, s = 50): the slow-manifold shot.
+
+The two analytic layers take no --n.
 
 PAIRS pairs of timed batches, each about BATCH_S seconds of calls, alternate:
 pair i runs A then B when i is even, B then A when it is odd, and each batch
-builds a fresh stepper instance and restarts from the same initial field.  A
-batch's time is the fastest of five rounds of calls, as the host's load comes
-in bursts.  The report gives each tree's median time per call in
-microseconds, the per-pair ratios B/A with their median and a 95% bootstrap
-interval of that median, and whether the two trees' outputs are byte-equal
-(one call of the layer, 200 steps, or one simulate run's diagnostics and
-final field, from the same field).  An A/A run (one
-tree passed twice) should give an interval that contains 1.
+of a PDE layer builds a fresh stepper instance and restarts from the same
+initial field.  A batch's time is the fastest of five rounds of calls, as the
+host's load comes in bursts.  The report gives each tree's median time per
+call in microseconds, the per-pair ratios B/A with their median and a 95%
+bootstrap interval of that median, and whether the two trees' outputs are
+byte-equal (one call of the layer, 200 steps, or one simulate run's
+diagnostics and final field, from the same field; the profiles' xi, theta,
+p and q).  An A/A run (one tree passed twice) should give an interval that
+contains 1.
 """
 
 from __future__ import annotations
@@ -47,20 +56,22 @@ PARAMS = (1.0, 0.5, 1.0, 1.0)  # alpha, beta, mu, h: the sideband and hopf prese
 LENGTH = 20 * math.pi
 EQUAL_STEPS = 200
 SIMULATE_STEPS = 1000
+ANALYTIC = ("homoclinic", "fast-front")
 PAIRS = 40
 BATCH_S = 0.05  # seconds of calls in one timed batch
 
 
 def load(src: str, name: str):
-    """The modules model and simulate of the package in SRC/llgs, imported as `name`."""
+    """The modules model, simulate and coherent of the package in SRC/llgs, imported
+    as `name`."""
     root = Path(src).resolve() / "llgs"
     spec = importlib.util.spec_from_file_location(name, root / "__init__.py",
                                                   submodule_search_locations=[str(root)])
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    return (importlib.import_module(f"{name}.model"),
-            importlib.import_module(f"{name}.simulate"))
+    return tuple(importlib.import_module(f"{name}.{module}")
+                 for module in ("model", "simulate", "coherent"))
 
 
 def initial_field(n: int) -> np.ndarray:
@@ -75,7 +86,21 @@ def initial_field(n: int) -> np.ndarray:
 def layer_call(modules, layer: str, n: int):
     """(make, output): make() returns a fresh no-argument callable of the layer,
     output() the bytes of the layer's result from the initial field."""
-    model, sim = modules
+    model, sim, coherent = modules
+    if layer in ANALYTIC:
+        if layer == "homoclinic":
+            def run():
+                return coherent.stationary_homoclinic(model.ModelParams(1, 1, 7, 0), 1, 1).profiles
+        else:
+            def run():
+                result = coherent.fast_heteroclinic(model.ModelParams(1, 0, 1, 0), 0, 0, 50)
+                return [front.profile for front in result.fronts]
+
+        def profiles():
+            return b"".join(a.tobytes() for prof in run()
+                            for a in (prof.xi, prof.theta, prof.p, prof.q))
+
+        return lambda: run, profiles
     params = model.ModelParams(*PARAMS)
     grid = model.Grid1D(LENGTH, n)
     values = initial_field(n)
@@ -157,11 +182,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_src")
     ap.add_argument("b_src")
-    ap.add_argument("--layer", choices=("rhs", "rk4-step", "semi-step", "simulate"),
+    ap.add_argument("--layer", choices=("rhs", "rk4-step", "semi-step", "simulate", *ANALYTIC),
                     required=True)
-    ap.add_argument("--n", type=int, required=True)
+    ap.add_argument("--n", type=int)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
+    if (args.n is None) != (args.layer in ANALYTIC):
+        ap.error("--n is required for the PDE layers and taken by no other")
 
     sides = [layer_call(load(src, name), args.layer, args.n)
              for src, name in ((args.a_src, "llgs_a"), (args.b_src, "llgs_b"))]
